@@ -3,20 +3,13 @@
 from .factorizations import (
     FactorResult,
     KronPair,
-    RearrangedOp,
     SingularTriplet,
     deflation_factors,
-    dense_op,
-    fisher_op,
     kfac_corrected_factors,
     kfac_factors,
     kpsvd_factors,
-    lanczos_bidiag,
     lanczos_factors,
-    power_svd,
     psd_select,
-    residual_op,
-    restarted_lanczos_rank2,
 )
 from .linalg import (
     NotPositiveDefiniteError,

@@ -266,12 +266,12 @@ def run_experiment(config: ExperimentConfig, write_artifacts: bool = True) -> Ru
             losses.append(metrics.loss)
             extra: dict[str, float] = {}
             if metrics.sigma1 is not None:
-                for i, (s1, s2, its) in enumerate(
-                    zip(metrics.sigma1, metrics.sigma2, metrics.solver_iterations), start=1
+                for i, (s1, s2, degen) in enumerate(
+                    zip(metrics.sigma1, metrics.sigma2, metrics.degenerate), start=1
                 ):
                     extra[f"sigma1_L{i}"] = s1
                     extra[f"sigma2_L{i}"] = s2
-                    extra[f"solver_iters_L{i}"] = float(its)
+                    extra[f"degenerate_L{i}"] = float(degen)
             if probe is not None and (iteration - 1) % probe.every == 0:
                 errors = fim_error_probe(
                     model, x, probe_layer, methods=probe.methods, rng=rng_probe,

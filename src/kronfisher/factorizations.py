@@ -1,106 +1,76 @@
 """Kronecker-product factorizations of rearranged Fisher blocks.
 
-Every factorization here works on a `RearrangedOp`, the matrix-free
-rearranged Fisher block of one layer: matvec maps a dp^2 vector to a d^2
-vector (d = fan_in + 1, dp = fan_out).  The dominant singular triplet of
-that operator yields the Frobenius-nearest single Kronecker product;
-residual deflation or bidiagonalization yields a two-term sum.  Dense
-access is tracked by a counter and is reserved for test oracles.
+For one layer put P = [vec(abar_t abar_t^T)] (d^2 x m) and
+Q = [vec(g_t g_t^T)] (dp^2 x m), with d = fan_in + 1, dp = fan_out and m
+the batch size.  The rearranged Fisher block is Z = P M Q^T for an m x m
+weight matrix M, and its top singular triplets give the Frobenius-nearest
+Kronecker sums (Van Loan and Pitsianis, "Approximation with Kronecker
+products", 1993).  All four singular-triplet methods share one exact
+solve in Gram form and differ only in M and in the number of terms:
+
+================  =====================  =====
+method            M                      terms
+================  =====================  =====
+kpsvd             I/m                    1
+deflation         I/m                    2
+lanczos           I/m                    2
+kfac_corrected    (I - 11^T/m)/m         1, after the moment product
+================  =====================  =====
+
+The centred M of `kfac_corrected` is the residual of the moment product:
+vec(A_kfac) vec(G_kfac)^T = P 11^T Q^T / m^2.  Deflation and lanczos are
+two names for the same two-term solve; the best two-term sum is the
+top-two truncated SVD whichever way it is computed.
+
+The solve needs only the m x m Gram matrices K_a = (Abar Abar^T)**2 and
+K_g = (G G^T)**2 (entrywise squares).  The top eigenpairs (sigma^2, w) of
+K_g^1/2 M K_a M K_g^1/2 give y = M K_g^1/2 w / sigma and
+c = M K_a y / sigma, and the singular vectors fold to
+mat(u) = Abar^T diag(y) Abar and mat(v) = G^T diag(c) G.  Neither the
+Fisher block nor Z is ever formed; the cost is
+O(m^2 (d + dp) + m^3 + m (d^2 + dp^2)) with no iterations and no
+tolerance.  Sigma is resolved only down to
+about 1e-8 * sigma_1 (it is the square root of an eigenvalue), so a
+second pair below ``eps`` times the reference sigma is reported as
+degenerate and zeroed.
 
 Factor conventions shared by all methods:
 
 * a triplet (sigma, u, v) turns into the factor pair
   (sqrt(sigma) * mat(u), sqrt(sigma) * mat(v));
 * triplet signs are flipped jointly so trace(mat(u)) >= 0;
-* dominant pairs are symmetrized and projected to the nearest-in-residual
-  positive-semidefinite choice (`psd_select`); second/corrector pairs are
-  symmetrized only, since they may legitimately be indefinite.
+* with M = I/m the Gram matrices and M are entrywise nonnegative, so by
+  Perron-Frobenius y, c >= 0 for the dominant pair and both of its
+  factors are positive semidefinite without any projection; second and
+  corrector pairs may legitimately be indefinite.
 """
 
 from __future__ import annotations
 
-import logging
+import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .linalg import mat, sym_eig, vec
-from .mlp import LayerBatchStats, zf_matvec, zf_rmatvec
+# zf_matvec and zf_rmatvec are unused here but stay importable:
+# benchmarks/tracing.py wraps them in this namespace
+from .mlp import LayerBatchStats, zf_matvec, zf_rmatvec  # noqa: F401
 
 __all__ = [
-    "RearrangedOp",
     "KronPair",
     "SingularTriplet",
     "FactorResult",
-    "fisher_op",
-    "dense_op",
-    "power_svd",
     "kfac_factors",
     "psd_select",
-    "kpsvd_op",
     "kpsvd_factors",
-    "residual_op",
-    "deflation_op",
     "deflation_factors",
-    "lanczos_bidiag",
-    "restarted_lanczos_rank2",
     "lanczos_factors",
     "kfac_corrected_factors",
 ]
 
-logger = logging.getLogger(__name__)
-
+# relative cutoff below which a second singular value counts as zero
 DEFAULT_EPS = 1e-6
-DEFAULT_MAX_ITERS = 500
-DEFAULT_KRYLOV = 6
-DEFAULT_MAX_RESTARTS = 50
-DEGENERATE_REL = 1e-12
-
-
-class RearrangedOp:
-    """Matrix-free rearranged block with call accounting.
-
-    matvec: dp^2 -> d^2, rmatvec: d^2 -> dp^2.  `dense_materializations`
-    counts calls to `to_dense` and must stay zero on every algorithmic
-    path; only oracles may pay that cost.
-    """
-
-    def __init__(
-        self,
-        d: int,
-        dp: int,
-        matvec: Callable[[np.ndarray], np.ndarray],
-        rmatvec: Callable[[np.ndarray], np.ndarray],
-    ):
-        self.d = int(d)
-        self.dp = int(dp)
-        self._matvec = matvec
-        self._rmatvec = rmatvec
-        self.matvec_calls = 0
-        self.rmatvec_calls = 0
-        self.dense_materializations = 0
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.d * self.d, self.dp * self.dp)
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        self.matvec_calls += 1
-        return self._matvec(v)
-
-    def rmatvec(self, u: np.ndarray) -> np.ndarray:
-        self.rmatvec_calls += 1
-        return self._rmatvec(u)
-
-    def to_dense(self) -> np.ndarray:
-        self.dense_materializations += 1
-        n = self.shape[1]
-        cols = np.empty((self.shape[0], n))
-        eye = np.eye(n)
-        for j in range(n):
-            cols[:, j] = self._matvec(eye[:, j])
-        return cols
 
 
 @dataclass
@@ -119,120 +89,28 @@ class SingularTriplet:
     sigma: float
     u: np.ndarray
     v: np.ndarray
-    converged: bool
-    iterations: int
+    # the solve is exact; benchmarks/tracing.py still counts unconverged triplets
+    converged = True
 
 
 @dataclass
 class FactorResult:
-    """Factor pairs of one layer plus solver diagnostics.
+    """Factor pairs of one layer plus the triplets they came from.
 
     ``pairs`` holds one entry for single-product methods and two for
     rank-two methods (dominant first).  ``triplets`` aligns with pairs;
     the entry is None when the pair did not come from a singular triplet
-    (the moment-based factors).
+    (the moment-based factors).  ``degenerate`` marks a second pair that
+    fell below the relative cutoff and was zeroed.
     """
 
     pairs: tuple[KronPair, ...]
     triplets: tuple[SingularTriplet | None, ...]
     degenerate: bool = False
-    matvec_calls: int = 0
-    rmatvec_calls: int = 0
-    dense_materializations: int = 0
-
-    @property
-    def converged(self) -> bool:
-        return all(t.converged for t in self.triplets if t is not None)
-
-    @property
-    def iterations(self) -> int:
-        return sum(t.iterations for t in self.triplets if t is not None)
 
     def sigma(self, idx: int) -> float:
         t = self.triplets[idx]
         return float("nan") if t is None else t.sigma
-
-
-def fisher_op(stats: LayerBatchStats, layer: int) -> RearrangedOp:
-    """Rearranged Fisher block of one layer, backed by the batch statistics."""
-    d = stats.abar[layer - 1].shape[1]
-    dp = stats.g[layer - 1].shape[1]
-    return RearrangedOp(
-        d,
-        dp,
-        lambda v: zf_matvec(stats, layer, v),
-        lambda u: zf_rmatvec(stats, layer, u),
-    )
-
-
-def dense_op(z: np.ndarray, d: int, dp: int) -> RearrangedOp:
-    """Wrap an explicit rearranged matrix; the oracle-side constructor."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != (d * d, dp * dp):
-        raise ValueError(f"expected shape {(d * d, dp * dp)}, got {z.shape}")
-    return RearrangedOp(d, dp, lambda v: z @ v, lambda u: z.T @ u)
-
-
-def _seeded_unit(n: int, seed: int) -> np.ndarray:
-    v = np.random.default_rng(seed).standard_normal(n)
-    return v / np.linalg.norm(v)
-
-
-def _flip_sign(trip: SingularTriplet, d: int) -> SingularTriplet:
-    # joint flip keeps sigma * u v^T unchanged; fixes the left trace >= 0
-    if np.trace(mat(trip.u, d, d)) < 0.0:
-        return SingularTriplet(trip.sigma, -trip.u, -trip.v, trip.converged, trip.iterations)
-    return trip
-
-
-def power_svd(
-    op: RearrangedOp,
-    eps: float = DEFAULT_EPS,
-    k_max: int = DEFAULT_MAX_ITERS,
-    v0: np.ndarray | None = None,
-    seed: int = 0,
-) -> SingularTriplet:
-    """Dominant singular triplet by alternating matvec / rmatvec products.
-
-    One iteration maps v -> normalize(op^T op v); convergence is declared
-    when the residual ||op v - sigma u|| drops to eps.  An unconverged run
-    returns the last iterate flagged, never raises.
-    """
-    m_rows, n_cols = op.shape
-    if v0 is None:
-        v = _seeded_unit(n_cols, seed)
-    else:
-        v = np.asarray(v0, dtype=np.float64)
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            raise ValueError("start vector must be nonzero")
-        v = v / nv
-    sigma = 0.0
-    converged = False
-    iterations = 0
-    av = op.matvec(v)
-    for k in range(1, k_max + 1):
-        iterations = k
-        nw = np.linalg.norm(av)
-        if not np.isfinite(nw):
-            raise FloatingPointError("power iteration produced non-finite values")
-        if nw == 0.0:
-            return SingularTriplet(0.0, np.zeros(m_rows), v, True, iterations)
-        u = av / nw
-        z = op.rmatvec(u)
-        sigma = float(np.linalg.norm(z))
-        if not np.isfinite(sigma):
-            raise FloatingPointError("power iteration produced non-finite values")
-        if sigma == 0.0:
-            return SingularTriplet(0.0, u, np.zeros(n_cols), True, iterations)
-        v = z / sigma
-        av = op.matvec(v)
-        if np.linalg.norm(av - sigma * u) <= eps:
-            converged = True
-            break
-    if not converged:
-        logger.warning("power SVD unconverged after %d iterations (sigma=%.3e)", iterations, sigma)
-    return _flip_sign(SingularTriplet(sigma, u, v, converged, iterations), op.d)
 
 
 def kfac_factors(stats: LayerBatchStats, layer: int) -> KronPair:
@@ -248,7 +126,7 @@ def kfac_factors(stats: LayerBatchStats, layer: int) -> KronPair:
 def psd_select(m: np.ndarray) -> np.ndarray:
     """Flip negative eigenvalues in place of clipping them.
 
-    Keeping |eigenvalue| preserves the diagonal magnitude pattern of the
+    Keeping |eigenvalue| preserves the diagonal magnitude pattern of a
     factor, and against any positive-semidefinite target it never
     increases the Frobenius residual of the Kronecker product.
     """
@@ -260,341 +138,87 @@ def _sym(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def _triplet_pair(trip: SingularTriplet, d: int, dp: int, project: bool) -> KronPair:
-    root = np.sqrt(trip.sigma)
-    left = _sym(root * mat(trip.u, d, d))
-    right = _sym(root * mat(trip.v, dp, dp))
-    if project:
-        left = psd_select(left)
-        right = psd_select(right)
-    return KronPair(left, right)
+def _fold(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """X^T diag(weights) X, symmetrized against rounding."""
+    return _sym(x.T @ (weights[:, None] * x))
 
 
-def _kfac_start(stats: LayerBatchStats, layer: int, seed: int) -> np.ndarray:
-    g = stats.g[layer - 1]
-    gg = g.T @ g / g.shape[0]
-    n = np.linalg.norm(gg)
-    if n == 0.0:
-        return _seeded_unit(gg.size, seed)
-    return vec(gg / n)
+def _gram_triplets(
+    stats: LayerBatchStats, layer: int, terms: int, centred: bool = False
+) -> list[SingularTriplet]:
+    """Top singular triplets of Z = P M Q^T, exactly, from m x m Gram matrices.
 
-
-def kpsvd_op(
-    op: RearrangedOp,
-    eps: float = DEFAULT_EPS,
-    k_max: int = DEFAULT_MAX_ITERS,
-    v0: np.ndarray | None = None,
-    seed: int = 0,
-) -> FactorResult:
-    """Frobenius-nearest single Kronecker product of a rearranged operator."""
-    trip = power_svd(op, eps, k_max, v0=v0, seed=seed)
-    pair = _triplet_pair(trip, op.d, op.dp, project=True)
-    if np.trace(mat(trip.v, op.dp, op.dp)) < 0.0:
-        logger.warning("right factor has negative trace after sign fix; factors may be noisy")
-    return FactorResult(
-        pairs=(pair,),
-        triplets=(trip,),
-        matvec_calls=op.matvec_calls,
-        rmatvec_calls=op.rmatvec_calls,
-        dense_materializations=op.dense_materializations,
-    )
-
-
-def kpsvd_factors(
-    stats: LayerBatchStats,
-    layer: int,
-    eps: float = DEFAULT_EPS,
-    k_max: int = DEFAULT_MAX_ITERS,
-    warm: np.ndarray | None = None,
-    seed: int = 0,
-) -> FactorResult:
-    """Single-product factors of one layer's Fisher block.
-
-    Cold starts begin at the vec of the normalized g-side moment factor,
-    which is already a decent guess for the dominant right vector.
+    M is I/m, or (I - 11^T/m)/m when centred.  Missing or zero singular
+    values come back as zero triplets.
     """
-    op = fisher_op(stats, layer)
-    v0 = warm if warm is not None else _kfac_start(stats, layer, seed)
-    return kpsvd_op(op, eps, k_max, v0=v0, seed=seed)
+    ab = stats.abar[layer - 1]
+    g = stats.g[layer - 1]
+    m, d = ab.shape
+    dp = g.shape[1]
+    weights = (np.eye(m) - (1.0 / m if centred else 0.0)) / m
+    ka = (ab @ ab.T) ** 2
+    vals, vecs = sym_eig((g @ g.T) ** 2)
+    b = weights @ ((vecs * np.sqrt(np.maximum(vals, 0.0))) @ vecs.T)
+    s2, w = sym_eig(_sym(b.T @ ka @ b))
+    out = []
+    for i in range(terms):
+        sigma = float(np.sqrt(max(s2[i], 0.0))) if i < m else 0.0
+        if sigma == 0.0:
+            out.append(SingularTriplet(0.0, np.zeros(d * d), np.zeros(dp * dp)))
+            continue
+        y = b @ w[:, i] / sigma
+        c = weights @ (ka @ y) / sigma
+        left = _fold(ab, y)
+        if np.trace(left) < 0.0:
+            left, c = -left, -c
+        out.append(SingularTriplet(sigma, vec(left), vec(_fold(g, c))))
+    return out
 
 
-def residual_op(base: RearrangedOp, pair: KronPair) -> RearrangedOp:
-    """The operator of base minus the rank-one contribution of a factor pair."""
-    vr = vec(pair.left)
-    vs = vec(pair.right)
-    return RearrangedOp(
-        base.d,
-        base.dp,
-        lambda v: base.matvec(v) - (vs @ v) * vr,
-        lambda u: base.rmatvec(u) - (vr @ u) * vs,
-    )
+def _pair(trip: SingularTriplet) -> KronPair:
+    d, dp = math.isqrt(trip.u.size), math.isqrt(trip.v.size)
+    root = np.sqrt(trip.sigma)
+    return KronPair(root * mat(trip.u, d, d), root * mat(trip.v, dp, dp))
 
 
-def _orthogonal_start(n: int, against: np.ndarray | None, seed: int) -> np.ndarray:
-    v = _seeded_unit(n, seed)
-    if against is not None:
-        v = v - (against @ v) * against
-        nv = np.linalg.norm(v)
-        if nv > 0.0:
-            v = v / nv
-    return v
-
-
-def _second_pair(
-    base: RearrangedOp,
-    first: KronPair,
-    eps: float,
-    k_max: int,
-    v0: np.ndarray | None,
-    seed: int,
-    sigma_ref: float,
-) -> tuple[KronPair, SingularTriplet, bool]:
-    rop = residual_op(base, first)
-    trip = power_svd(rop, eps, k_max, v0=v0, seed=seed)
-    degenerate = trip.sigma <= DEGENERATE_REL * sigma_ref
-    if degenerate:
-        d, dp = base.d, base.dp
-        pair = KronPair(np.zeros((d, d)), np.zeros((dp, dp)))
-    else:
-        pair = _triplet_pair(trip, base.d, base.dp, project=False)
-    return pair, trip, degenerate
-
-
-def deflation_op(
-    op: RearrangedOp,
-    eps: float = DEFAULT_EPS,
-    k_max: int = DEFAULT_MAX_ITERS,
-    warm: tuple[np.ndarray | None, np.ndarray | None] = (None, None),
-    seed: int = 0,
+def _with_second(
+    first: KronPair, t1: SingularTriplet | None, t2: SingularTriplet, sigma_ref: float, eps: float
 ) -> FactorResult:
-    """Two Kronecker summands: nearest product, then nearest product of the rest."""
-    first = kpsvd_op(op, eps, k_max, v0=warm[0], seed=seed)
-    t1 = first.triplets[0]
-    v0 = warm[1] if warm[1] is not None else _orthogonal_start(op.shape[1], t1.v, seed + 1)
-    pair2, t2, degenerate = _second_pair(op, first.pairs[0], eps, k_max, v0, seed, t1.sigma)
-    return FactorResult(
-        pairs=(first.pairs[0], pair2),
-        triplets=(t1, t2),
-        degenerate=degenerate,
-        matvec_calls=op.matvec_calls,
-        rmatvec_calls=op.rmatvec_calls,
-        dense_materializations=op.dense_materializations,
-    )
+    degenerate = t2.sigma <= eps * sigma_ref
+    if degenerate:
+        t2 = SingularTriplet(0.0, np.zeros_like(t2.u), np.zeros_like(t2.v))
+    return FactorResult(pairs=(first, _pair(t2)), triplets=(t1, t2), degenerate=degenerate)
+
+
+def kpsvd_factors(stats: LayerBatchStats, layer: int) -> FactorResult:
+    """Frobenius-nearest single Kronecker product of one layer's Fisher block."""
+    (t1,) = _gram_triplets(stats, layer, 1)
+    return FactorResult(pairs=(_pair(t1),), triplets=(t1,))
 
 
 def deflation_factors(
-    stats: LayerBatchStats,
-    layer: int,
-    eps: float = DEFAULT_EPS,
-    k_max: int = DEFAULT_MAX_ITERS,
-    warm: tuple[np.ndarray | None, np.ndarray | None] = (None, None),
-    seed: int = 0,
+    stats: LayerBatchStats, layer: int, eps: float = DEFAULT_EPS
 ) -> FactorResult:
-    op = fisher_op(stats, layer)
-    if warm[0] is None:
-        warm = (_kfac_start(stats, layer, seed), warm[1])
-    return deflation_op(op, eps, k_max, warm=warm, seed=seed)
+    """Frobenius-nearest two-term Kronecker sum: the top two singular triplets.
 
-
-def _reorthogonalize(v: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    # two classical Gram-Schmidt passes; enough for orthonormal bases
-    for _ in range(2):
-        v = v - basis @ (basis.T @ v)
-    return v
-
-
-def lanczos_bidiag(
-    op: RearrangedOp,
-    krylov: int,
-    eps: float,
-    q0: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Golub-Kahan bidiagonalization with full reorthogonalization.
-
-    Returns (p, q, h, rank): p holds left vectors (d^2 rows), q right
-    vectors (dp^2 rows), h is the rank x rank upper bidiagonal projection
-    with h[k, k] the alphas and h[k, k+1] the betas.  The sweep stops
-    early when the coupling beta falls to eps (Krylov space exhausted);
-    rank is the number of usable columns.
+    The second pair is degenerate, and zeroed, when sigma_2 <= eps * sigma_1.
     """
-    m_rows, n_cols = op.shape
-    q0 = np.asarray(q0, dtype=np.float64)
-    nq = np.linalg.norm(q0)
-    if nq == 0.0:
-        raise ValueError("start vector must be nonzero")
-    p = np.zeros((m_rows, krylov))
-    q = np.zeros((n_cols, krylov))
-    alpha = np.zeros(krylov)
-    beta = np.zeros(max(krylov - 1, 0))
-    q[:, 0] = q0 / nq
-    w = op.matvec(q[:, 0])
-    a = float(np.linalg.norm(w))
-    if a == 0.0:
-        return p[:, :0], q[:, :1], np.zeros((0, 0)), 0
-    p[:, 0] = w / a
-    alpha[0] = a
-    rank = 1
-    for k in range(krylov - 1):
-        z = op.rmatvec(p[:, k]) - alpha[k] * q[:, k]
-        z = _reorthogonalize(z, q[:, : k + 1])
-        b = float(np.linalg.norm(z))
-        if b <= eps:
-            break
-        q[:, k + 1] = z / b
-        w = op.matvec(q[:, k + 1]) - b * p[:, k]
-        w = _reorthogonalize(w, p[:, : k + 1])
-        a = float(np.linalg.norm(w))
-        if a == 0.0:
-            break
-        beta[k] = b
-        p[:, k + 1] = w / a
-        alpha[k + 1] = a
-        rank = k + 2
-    h = np.zeros((rank, rank))
-    for k in range(rank):
-        h[k, k] = alpha[k]
-        if k + 1 < rank:
-            h[k, k + 1] = beta[k]
-    return p[:, :rank], q[:, :rank], h, rank
+    t1, t2 = _gram_triplets(stats, layer, 2)
+    return _with_second(_pair(t1), t1, t2, t1.sigma, eps)
 
 
-def restarted_lanczos_rank2(
-    op: RearrangedOp,
-    krylov: int = DEFAULT_KRYLOV,
-    eps: float = DEFAULT_EPS,
-    max_restarts: int = DEFAULT_MAX_RESTARTS,
-    q0: np.ndarray | None = None,
-    seed: int = 0,
-) -> FactorResult:
-    """Top-two singular triplets via restarted bidiagonalization.
-
-    Each sweep builds a small Krylov basis, reads Ritz triplets off the
-    SVD of the bidiagonal projection, and tests the larger of the two
-    residuals ||op v_i - sigma_i u_i|| and ||op^T u_i - sigma_i v_i||
-    against eps.  The forward residual alone is vacuous here: the sweep
-    satisfies op Q = P H exactly, so only the adjoint side can expose an
-    unconverged Ritz value.  Restarts resume from the normalized sum of
-    the current top-two right Ritz vectors.  If the second Ritz value
-    collapses relative to the first, the result is flagged degenerate
-    and the second pair is zero.
-    """
-    m_rows, n_cols = op.shape
-    if q0 is None:
-        q0 = _seeded_unit(n_cols, seed)
-    sigma_scale = 0.0
-    total_steps = 0
-    converged = False
-    degenerate = False
-    s1 = s2 = 0.0
-    u1 = u2 = v1 = v2 = None
-    for _ in range(max_restarts):
-        p, q, h, rank = lanczos_bidiag(op, krylov, 1e-13 * sigma_scale, q0)
-        if rank == 0:
-            zero_l = np.zeros((op.d, op.d))
-            zero_r = np.zeros((op.dp, op.dp))
-            t = SingularTriplet(0.0, np.zeros(m_rows), np.zeros(n_cols), True, total_steps)
-            return FactorResult(
-                pairs=(KronPair(zero_l, zero_r), KronPair(zero_l.copy(), zero_r.copy())),
-                triplets=(t, t),
-                degenerate=True,
-                matvec_calls=op.matvec_calls,
-                rmatvec_calls=op.rmatvec_calls,
-                dense_materializations=op.dense_materializations,
-            )
-        total_steps += rank
-        x, s, yt = np.linalg.svd(h)
-        s1 = float(s[0])
-        sigma_scale = max(sigma_scale, s1)
-        u1 = p @ x[:, 0]
-        v1 = q @ yt[0, :]
-        u1 /= np.linalg.norm(u1)
-        v1 /= np.linalg.norm(v1)
-        degenerate = rank < 2 or s[1] <= DEGENERATE_REL * s1
-        res1 = max(
-            float(np.linalg.norm(op.matvec(v1) - s1 * u1)),
-            float(np.linalg.norm(op.rmatvec(u1) - s1 * v1)),
-        )
-        if degenerate:
-            s2 = 0.0
-            res2 = 0.0
-        else:
-            s2 = float(s[1])
-            u2 = p @ x[:, 1]
-            v2 = q @ yt[1, :]
-            u2 /= np.linalg.norm(u2)
-            v2 /= np.linalg.norm(v2)
-            res2 = max(
-                float(np.linalg.norm(op.matvec(v2) - s2 * u2)),
-                float(np.linalg.norm(op.rmatvec(u2) - s2 * v2)),
-            )
-        if res1 <= eps and res2 <= eps:
-            converged = True
-            break
-        nxt = v1 if degenerate else v1 + v2
-        q0 = nxt / np.linalg.norm(nxt)
-    if not converged:
-        logger.warning(
-            "restarted bidiagonalization unconverged after %d restarts (sigma1=%.3e)",
-            max_restarts,
-            s1,
-        )
-    t1 = _flip_sign(SingularTriplet(s1, u1, v1, converged, total_steps), op.d)
-    if degenerate:
-        t2 = SingularTriplet(0.0, np.zeros(m_rows), np.zeros(n_cols), converged, total_steps)
-        pair2 = KronPair(np.zeros((op.d, op.d)), np.zeros((op.dp, op.dp)))
-    else:
-        t2 = _flip_sign(SingularTriplet(s2, u2, v2, converged, total_steps), op.d)
-        pair2 = _triplet_pair(t2, op.d, op.dp, project=False)
-    pair1 = _triplet_pair(t1, op.d, op.dp, project=True)
-    return FactorResult(
-        pairs=(pair1, pair2),
-        triplets=(t1, t2),
-        degenerate=degenerate,
-        matvec_calls=op.matvec_calls,
-        rmatvec_calls=op.rmatvec_calls,
-        dense_materializations=op.dense_materializations,
-    )
-
-
-def lanczos_factors(
-    stats: LayerBatchStats,
-    layer: int,
-    krylov: int = DEFAULT_KRYLOV,
-    eps: float = DEFAULT_EPS,
-    max_restarts: int = DEFAULT_MAX_RESTARTS,
-    warm: tuple[np.ndarray | None, np.ndarray | None] = (None, None),
-    seed: int = 0,
-) -> FactorResult:
-    op = fisher_op(stats, layer)
-    if warm[0] is not None and warm[1] is not None:
-        q0 = warm[0] + warm[1]
-        q0 = q0 / np.linalg.norm(q0)
-    elif warm[0] is not None:
-        q0 = warm[0]
-    else:
-        q0 = _kfac_start(stats, layer, seed)
-    return restarted_lanczos_rank2(op, krylov, eps, max_restarts, q0=q0, seed=seed)
+# the paper's bidiagonalization method targets the same two-term optimum
+lanczos_factors = deflation_factors
 
 
 def kfac_corrected_factors(
-    stats: LayerBatchStats,
-    layer: int,
-    eps: float = DEFAULT_EPS,
-    k_max: int = DEFAULT_MAX_ITERS,
-    warm: tuple[np.ndarray | None, np.ndarray | None] = (None, None),
-    seed: int = 0,
+    stats: LayerBatchStats, layer: int, eps: float = DEFAULT_EPS
 ) -> FactorResult:
-    """Moment-product factors plus the nearest Kronecker product of what they miss."""
+    """Moment-product factors plus the nearest Kronecker product of what they miss.
+
+    The corrector is degenerate, and zeroed, when its sigma is at most eps
+    times the Frobenius norm of the moment product.
+    """
     pair1 = kfac_factors(stats, layer)
-    op = fisher_op(stats, layer)
-    sigma_ref = pair1.norm()
-    v0 = warm[1] if warm[1] is not None else _orthogonal_start(op.shape[1], None, seed + 1)
-    pair2, t2, degenerate = _second_pair(op, pair1, eps, k_max, v0, seed, sigma_ref)
-    return FactorResult(
-        pairs=(pair1, pair2),
-        triplets=(None, t2),
-        degenerate=degenerate,
-        matvec_calls=op.matvec_calls,
-        rmatvec_calls=op.rmatvec_calls,
-        dense_materializations=op.dense_materializations,
-    )
+    (t2,) = _gram_triplets(stats, layer, 1, centred=True)
+    return _with_second(pair1, None, t2, pair1.norm(), eps)

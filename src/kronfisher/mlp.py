@@ -8,9 +8,10 @@ column.  Batches are row-major: ``x`` has one sample per row.
 Backpropagation records, per layer i, the per-sample augmented inputs
 ``abar`` (m x (d_{i-1}+1)) and per-sample preactivation derivatives ``g``
 (m x d_i) of the per-sample loss.  The exact Fisher block of layer i is
-the second moment of ``vec(g abar^T)`` over the batch; everything in
-`factorizations` consumes it only through the two matrix-free products
-`zf_matvec` / `zf_rmatvec` of its rearranged form.
+the second moment of ``vec(g abar^T)`` over the batch; `factorizations`
+works from the per-sample rows and never forms it, and the matrix-free
+products `zf_matvec` / `zf_rmatvec` apply its rearranged form without
+forming it either.
 
 Layer indices in the public functions are 1-based (layer 1 consumes the
 network input).
@@ -243,8 +244,8 @@ def exact_fim_block(stats: LayerBatchStats, layer: int) -> np.ndarray:
     """Dense diagonal Fisher block of one layer: mean outer product of
     per-sample vec(g abar^T).
 
-    Only for layers small enough to materialize; the matrix-free pair
-    `zf_matvec` / `zf_rmatvec` is the production path.
+    Only for layers small enough to materialize; the factorizations work
+    from the per-sample statistics instead.
     """
     ab, g = _layer_stats(stats, layer)
     m, d = ab.shape

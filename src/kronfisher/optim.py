@@ -7,7 +7,7 @@ The natural step at iteration k (1-based):
 2. on factor-refresh iterations (k == 1 or k % t1 == 0), backward a
    second time with targets sampled from the model's own predictive
    distribution, reusing the same forward pass, and refresh each layer's
-   factor pairs (with warm-started solvers and moving-average blending);
+   factor pairs (exact solves, blended into a moving average);
 3. on inverse-refresh iterations (k == 1 or k % t2 == 0), rebuild the
    damped inverse caches;
 4. precondition the layer gradients with the cached inverses, scale by
@@ -67,10 +67,8 @@ class OptimizerConfig:
     adam_eps: float = 1e-8
     batch_size: int = 256
     seed: int = 0
-    svd_eps: float = 1e-6
-    svd_max_iters: int = 500
-    krylov_dim: int = 6
-    max_restarts: int = 50
+    # relative cutoff: a second pair with sigma_2 <= svd_eps * sigma_ref is zeroed
+    svd_eps: float = fz.DEFAULT_EPS
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -109,6 +107,8 @@ class StepMetrics:
     rebuilt: bool = False
     sigma1: list[float] | None = None
     sigma2: list[float] | None = None
+    degenerate: list[bool] | None = None
+    # always None: the exact solve takes no iterations (benchmarks/harness.py reads it)
     solver_iterations: list[int] | None = None
     precond: list[np.ndarray] | None = None
 
@@ -171,26 +171,17 @@ def adam_step(
         p -= lr * (a / c1) / (np.sqrt(b / c2) + eps)
 
 
-def _factorize_layer(
-    method: str,
-    stats,
-    layer: int,
-    config: OptimizerConfig,
-    warm: tuple[np.ndarray | None, np.ndarray | None],
-) -> fz.FactorResult:
-    eps, k_max = config.svd_eps, config.svd_max_iters
+def _factorize_layer(method: str, stats, layer: int, eps: float) -> fz.FactorResult:
     if method == "kfac":
         pair = fz.kfac_factors(stats, layer)
         return fz.FactorResult(pairs=(pair,), triplets=(None,))
     if method == "kpsvd":
-        return fz.kpsvd_factors(stats, layer, eps, k_max, warm=warm[0])
+        return fz.kpsvd_factors(stats, layer)
     if method == "deflation":
-        return fz.deflation_factors(stats, layer, eps, k_max, warm=warm)
+        return fz.deflation_factors(stats, layer, eps)
     if method == "lanczos":
-        return fz.lanczos_factors(
-            stats, layer, config.krylov_dim, eps, config.max_restarts, warm=warm
-        )
-    return fz.kfac_corrected_factors(stats, layer, eps, k_max, warm=warm)
+        return fz.lanczos_factors(stats, layer, eps)
+    return fz.kfac_corrected_factors(stats, layer, eps)
 
 
 def natural_step(
@@ -212,17 +203,17 @@ def natural_step(
     k = state.iteration + 1
 
     refreshed = k == 1 or k % config.t1 == 0
-    sigma1 = sigma2 = iters = None
+    sigma1 = sigma2 = degenerate = None
     if refreshed:
         sampled = sample_targets(acts[-1], model.loss, state.sample_rng)
         _, stats = backward(model, acts, sampled)
-        sigma1, sigma2, iters = [], [], []
+        sigma1, sigma2, degenerate = [], [], []
         for i, ls in enumerate(state.layer_states, start=1):
-            result = _factorize_layer(config.method, stats, i, config, ls.warm)
+            result = _factorize_layer(config.method, stats, i, config.svd_eps)
             update_factors(ls, result, k, config.ema_decay)
             sigma1.append(result.sigma(0))
             sigma2.append(result.sigma(1) if len(result.triplets) > 1 else float("nan"))
-            iters.append(result.iterations)
+            degenerate.append(result.degenerate)
 
     rebuilt = k == 1 or k % config.t2 == 0
     if rebuilt:
@@ -241,7 +232,7 @@ def natural_step(
         rebuilt=rebuilt,
         sigma1=sigma1,
         sigma2=sigma2,
-        solver_iterations=iters,
+        degenerate=degenerate,
         precond=precond,
     )
 
@@ -283,41 +274,21 @@ def train_step(model, batch, state, config) -> StepMetrics:
     return natural_step(model, batch, state, config)
 
 
-def _dense_reconstruction(method: str, stats, layer: int, eps, k_max, krylov, seed) -> np.ndarray:
-    if method == "kfac":
-        p = fz.kfac_factors(stats, layer)
-        return kron(p.left, p.right)
-    if method == "kpsvd":
-        r = fz.kpsvd_factors(stats, layer, eps, k_max, seed=seed)
-    elif method == "deflation":
-        r = fz.deflation_factors(stats, layer, eps, k_max, seed=seed)
-    elif method == "lanczos":
-        r = fz.lanczos_factors(stats, layer, krylov, eps, seed=seed)
-    else:
-        r = fz.kfac_corrected_factors(stats, layer, eps, k_max, seed=seed)
-    out = kron(r.pairs[0].left, r.pairs[0].right)
-    for p in r.pairs[1:]:
-        out = out + kron(p.left, p.right)
-    return out
-
-
 def fim_error_probe(
     model: MLPModel,
     x: np.ndarray,
     layer: int,
     methods: tuple[str, ...] = SECOND_ORDER_METHODS,
     rng: np.random.Generator | None = None,
-    eps: float = 1e-6,
-    k_max: int = 2000,
-    krylov: int = fz.DEFAULT_KRYLOV,
+    eps: float = fz.DEFAULT_EPS,
     seed: int = 0,
 ) -> dict[str, ProbeErrors]:
     """Relative Fisher-approximation errors of each method on one batch.
 
     Targets are sampled once from the model's predictive distribution and
-    every method factors the same statistics, cold-started and without
-    moving-average blending, so the numbers compare approximation quality
-    alone.  The probed layer must be small enough to materialize densely.
+    every method factors the same statistics, without moving-average
+    blending, so the numbers compare approximation quality alone.  The
+    probed layer must be small enough to materialize densely.
     """
     if rng is None:
         rng = np.random.default_rng(seed)
@@ -330,7 +301,8 @@ def fim_error_probe(
     spec_norm = float(np.linalg.norm(spec_f))
     out = {}
     for method in methods:
-        fhat = _dense_reconstruction(method, stats, layer, eps, k_max, krylov, seed)
+        pairs = _factorize_layer(method, stats, layer, eps).pairs
+        fhat = sum(kron(p.left, p.right) for p in pairs)
         frob = float(np.linalg.norm(f - fhat)) / f_norm
         spec_err = float(np.linalg.norm(spec_f - spectrum(fhat))) / spec_norm
         out[method] = ProbeErrors(frob, spec_err)

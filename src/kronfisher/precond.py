@@ -72,13 +72,12 @@ class Rank2Cache:
 
 @dataclass
 class KronApprox:
-    """Per-layer preconditioner state: averaged pairs, cache, warm starts."""
+    """Per-layer preconditioner state: averaged pairs and inverse cache."""
 
     kind: str
     pairs: tuple[KronPair, ...] | None = None
     version: int = 0
     cache: Rank1Cache | Rank2Cache | None = None
-    warm: tuple[np.ndarray | None, np.ndarray | None] = (None, None)
     fallback_events: int = 0
     refresh_count: int = 0
 
@@ -186,7 +185,7 @@ def kl_clip(
 
 
 def update_factors(state: KronApprox, result: FactorResult, k: int, alpha: float) -> None:
-    """Fold freshly computed pairs into the averaged state and refresh warm starts."""
+    """Fold freshly computed pairs into the averaged state."""
     expected = 1 if state.kind == "rank1" else 2
     if len(result.pairs) != expected:
         raise ValueError(f"{state.kind} state got {len(result.pairs)} pairs")
@@ -196,11 +195,6 @@ def update_factors(state: KronApprox, result: FactorResult, k: int, alpha: float
         state.pairs = tuple(
             ema_update(old, new, k, alpha) for old, new in zip(state.pairs, result.pairs)
         )
-    warm = [None, None]
-    for i, t in enumerate(result.triplets[:2]):
-        if t is not None and t.sigma > 0.0:
-            warm[i] = t.v
-    state.warm = (warm[0], warm[1])
     state.version += 1
     state.refresh_count += 1
 

@@ -7,7 +7,6 @@ against independent arithmetic, not against themselves.
 
 import numpy as np
 
-from kronfisher.linalg import vec
 from kronfisher.mlp import backward, forward, init_mlp, sample_targets
 
 ACCEPTANCE_LINES: list[str] = []
@@ -60,40 +59,3 @@ def make_model_stats(rng, dims=(4, 3, 2), m=8, loss="bce"):
     y = sample_targets(layer_acts[-1], loss, rng)
     _, stats = backward(model, layer_acts, y)
     return model, x, stats
-
-
-def sym_orthonormal_vecs(rng, n, k, psd_first=False):
-    """k orthonormal vectors in R^{n^2} that fold to symmetric matrices.
-
-    With psd_first the leading vector is the vec of a positive definite
-    matrix, so a sign-and-projection step on the dominant factor is a
-    no-op and exactness arguments stay exact.
-    """
-    out = []
-    while len(out) < k:
-        if not out and psd_first:
-            m = rand_spd(rng, n)
-        else:
-            m = rand_sym(rng, n)
-        v = vec(m)
-        for w in out:
-            v = v - (w @ v) * w
-        nv = np.linalg.norm(v)
-        if nv > 1e-6:
-            out.append(v / nv)
-    return out
-
-
-def structured_rearranged(rng, d, dp, sigmas, psd_first=False):
-    """A rearranged matrix with exactly the given singular values.
-
-    Left/right singular vectors are orthonormal vecs of symmetric
-    matrices, so the matrix is a valid rearranged block of a symmetric
-    uniform-block matrix with fully controlled spectrum.
-    """
-    us = sym_orthonormal_vecs(rng, d, len(sigmas), psd_first=psd_first)
-    vs = sym_orthonormal_vecs(rng, dp, len(sigmas), psd_first=psd_first)
-    z = np.zeros((d * d, dp * dp))
-    for s, u, v in zip(sigmas, us, vs):
-        z += s * np.outer(u, v)
-    return z

@@ -12,7 +12,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import rand_spd, rand_sym
-from kronfisher.factorizations import FactorResult, KronPair, SingularTriplet
+from kronfisher.factorizations import FactorResult, KronPair
 from kronfisher.linalg import NotPositiveDefiniteError, kron, vec
 from kronfisher.precond import (
     KronApprox,
@@ -31,18 +31,8 @@ from kronfisher.precond import (
 )
 
 
-def make_result(pairs, with_triplets=True):
-    triplets = []
-    for i, p in enumerate(pairs):
-        if with_triplets:
-            n = p.left.shape[0] ** 2
-            m = p.right.shape[0] ** 2
-            v = np.zeros(m)
-            v[i % m] = 1.0
-            triplets.append(SingularTriplet(p.norm(), np.zeros(n), v, True, 3))
-        else:
-            triplets.append(None)
-    return FactorResult(pairs=tuple(pairs), triplets=tuple(triplets))
+def make_result(pairs):
+    return FactorResult(pairs=tuple(pairs), triplets=(None,) * len(pairs))
 
 
 class TestEma:
@@ -219,23 +209,6 @@ class TestStateMachine:
         )
         assert_allclose(state.pairs[0].left, 0.5 * np.eye(2))
         assert state.version == 2
-
-    def test_warm_starts_follow_triplets(self):
-        state = KronApprox(kind="rank2")
-        pairs = [KronPair(np.eye(2), np.eye(2)), KronPair(np.eye(2), 0.5 * np.eye(2))]
-        update_factors(state, make_result(pairs), k=1, alpha=0.95)
-        assert state.warm[0] is not None
-        assert state.warm[1] is not None
-
-    def test_moment_pairs_leave_warm_empty(self):
-        state = KronApprox(kind="rank1")
-        update_factors(
-            state,
-            make_result([KronPair(np.eye(2), np.eye(2))], with_triplets=False),
-            1,
-            0.95,
-        )
-        assert state.warm == (None, None)
 
     def test_pair_count_mismatch_raises(self):
         state = KronApprox(kind="rank2")
