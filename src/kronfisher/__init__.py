@@ -14,13 +14,10 @@ from .factorizations import (
 from .linalg import (
     NotPositiveDefiniteError,
     SymEig,
-    frobenius_norm,
     inv_sqrt,
     kron,
-    kron_apply,
     mat,
     spectrum,
-    svd_dense,
     sym_eig,
     vec,
     zigzag,

@@ -55,31 +55,28 @@ LAMBDA_GRID = (1e-1, 1e-2, 1e-3, 1e-4, 3e-1, 3e-2, 3e-3, 3e-4)
 CLIP_GRID = (1e-2, 1e-3)
 
 # deep autoencoder presets; the desk preset is a shrunken curves network
-# sized so exact Fisher blocks stay cheap to materialize in tests
+# sized so exact Fisher blocks stay cheap to materialize in tests.  A preset
+# fixes only the architecture: m comes from `OptimizerConfig.batch_size`.
 ARCHITECTURES: dict[str, dict] = {
     "mnist": {
         "layer_dims": [784, 1000, 500, 250, 30, 250, 500, 1000, 784],
         "activations": ["relu"] * 7 + ["sigmoid"],
         "loss": "bce",
-        "batch_size": 512,
     },
     "faces": {
         "layer_dims": [625, 2000, 1000, 500, 30, 500, 1000, 2000, 625],
         "activations": ["relu"] * 7 + ["linear"],
         "loss": "mse",
-        "batch_size": 1024,
     },
     "curves": {
         "layer_dims": [784, 400, 200, 100, 50, 25, 6, 25, 50, 100, 200, 400, 784],
         "activations": ["relu"] * 11 + ["sigmoid"],
         "loss": "bce",
-        "batch_size": 256,
     },
     "curves_desk": {
         "layer_dims": [64, 32, 16, 6, 16, 32, 64],
         "activations": ["relu"] * 5 + ["sigmoid"],
         "loss": "bce",
-        "batch_size": 64,
     },
 }
 
@@ -97,6 +94,13 @@ class ProbeSpec:
     every: int = 1
     layer: int | None = None
     methods: tuple[str, ...] = SECOND_ORDER_METHODS
+
+    def __post_init__(self):
+        unknown = [m for m in self.methods if m not in SECOND_ORDER_METHODS]
+        if unknown:
+            raise ValueError(
+                f"unknown probe methods {unknown}; choose from {SECOND_ORDER_METHODS}"
+            )
 
 
 @dataclass

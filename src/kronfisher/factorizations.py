@@ -34,6 +34,9 @@ about 1e-8 * sigma_1 (it is the square root of an eigenvalue), so a
 second pair below ``eps`` times the reference sigma is reported as
 degenerate and zeroed.
 
+`FACTORIZERS` is the one table from method name to factor function;
+`kfac`, the moment product, is its fifth row.
+
 Factor conventions shared by all methods:
 
 * a triplet (sigma, u, v) turns into the factor pair
@@ -49,6 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -67,6 +71,7 @@ __all__ = [
     "deflation_factors",
     "lanczos_factors",
     "kfac_corrected_factors",
+    "FACTORIZERS",
 ]
 
 # relative cutoff below which a second singular value counts as zero
@@ -222,3 +227,15 @@ def kfac_corrected_factors(
     pair1 = kfac_factors(stats, layer)
     (t2,) = _gram_triplets(stats, layer, 1, centred=True)
     return _with_second(pair1, None, t2, pair1.norm(), eps)
+
+
+# method name -> (stats, layer, eps) -> FactorResult.  Each row resolves its
+# factor function when called, not at import: benchmarks/tracing.py times
+# the methods by swapping the module-level functions for wrappers.
+FACTORIZERS: dict[str, Callable[[LayerBatchStats, int, float], FactorResult]] = {
+    "kfac": lambda stats, layer, eps: FactorResult((kfac_factors(stats, layer),), (None,)),
+    "kpsvd": lambda stats, layer, eps: kpsvd_factors(stats, layer),
+    "deflation": lambda stats, layer, eps: deflation_factors(stats, layer, eps),
+    "lanczos": lambda stats, layer, eps: lanczos_factors(stats, layer, eps),
+    "kfac_corrected": lambda stats, layer, eps: kfac_corrected_factors(stats, layer, eps),
+}

@@ -19,12 +19,9 @@ __all__ = [
     "vec",
     "mat",
     "zigzag",
-    "kron_apply",
     "sym_eig",
     "inv_sqrt",
-    "frobenius_norm",
     "spectrum",
-    "svd_dense",
 ]
 
 EIG_CLAMP_REL = 1e-12
@@ -92,18 +89,6 @@ def zigzag(m: np.ndarray, d: int, dp: int) -> np.ndarray:
     return m.reshape(d, dp, d, dp).transpose(2, 0, 3, 1).reshape(d * d, dp * dp)
 
 
-def kron_apply(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Apply kron(a, b) to vec(x) without forming the product: b @ x @ a.T."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (b.shape[1], a.shape[1]):
-        raise ValueError(
-            f"operand shape {x.shape} incompatible with factors {a.shape}, {b.shape}"
-        )
-    return b @ x @ a.T
-
-
 def sym_eig(m: np.ndarray) -> SymEig:
     """Eigendecomposition of a symmetric matrix with eigenvalues descending."""
     m = np.asarray(m, dtype=np.float64)
@@ -130,16 +115,6 @@ def inv_sqrt(m: np.ndarray, context: str = "") -> np.ndarray:
     return (vecs * vals ** -0.5) @ vecs.T
 
 
-def frobenius_norm(m: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(m, dtype=np.float64)))
-
-
 def spectrum(m: np.ndarray) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, sorted descending."""
     return np.linalg.eigvalsh(np.asarray(m, dtype=np.float64))[::-1]
-
-
-def svd_dense(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin SVD (U, s, V) with singular values descending; m == U @ diag(s) @ V.T."""
-    u, s, vt = np.linalg.svd(np.asarray(m, dtype=np.float64), full_matrices=False)
-    return u, s, vt.T

@@ -7,9 +7,12 @@ The natural step at iteration k (1-based):
 2. on factor-refresh iterations (k == 1 or k % t1 == 0), backward a
    second time with targets sampled from the model's own predictive
    distribution, reusing the same forward pass, and refresh each layer's
-   factor pairs (exact solves, blended into a moving average);
+   factor pairs with the method's row of `factorizations.FACTORIZERS`
+   (exact solves, blended into a moving average);
 3. on inverse-refresh iterations (k == 1 or k % t2 == 0), rebuild the
-   damped inverse caches;
+   damped inverse caches; a layer holding two pairs gets the two-term
+   congruence solve, one holding a single pair the plain Kronecker
+   inverse;
 4. precondition the layer gradients with the cached inverses, scale by
    the trust-region factor, and descend.
 
@@ -31,7 +34,6 @@ from .precond import KronApprox, kl_clip, precondition_layer, rebuild_cache, upd
 __all__ = [
     "FIRST_ORDER_METHODS",
     "SECOND_ORDER_METHODS",
-    "RANK2_METHODS",
     "METHODS",
     "OptimizerConfig",
     "TrainState",
@@ -47,8 +49,7 @@ __all__ = [
 ]
 
 FIRST_ORDER_METHODS = ("sgd", "adam")
-SECOND_ORDER_METHODS = ("kfac", "kpsvd", "deflation", "lanczos", "kfac_corrected")
-RANK2_METHODS = ("deflation", "lanczos", "kfac_corrected")
+SECOND_ORDER_METHODS = tuple(fz.FACTORIZERS)
 METHODS = FIRST_ORDER_METHODS + SECOND_ORDER_METHODS
 
 
@@ -130,8 +131,7 @@ def init_train_state(model: MLPModel, config: OptimizerConfig, sample_rng=None) 
         state.m1 = [np.zeros_like(w) for w in model.weights]
         state.m2 = [np.zeros_like(w) for w in model.weights]
     else:
-        kind = "rank2" if config.method in RANK2_METHODS else "rank1"
-        state.layer_states = [KronApprox(kind) for _ in range(model.n_layers)]
+        state.layer_states = [KronApprox() for _ in range(model.n_layers)]
     return state
 
 
@@ -171,17 +171,12 @@ def adam_step(
         p -= lr * (a / c1) / (np.sqrt(b / c2) + eps)
 
 
-def _factorize_layer(method: str, stats, layer: int, eps: float) -> fz.FactorResult:
-    if method == "kfac":
-        pair = fz.kfac_factors(stats, layer)
-        return fz.FactorResult(pairs=(pair,), triplets=(None,))
-    if method == "kpsvd":
-        return fz.kpsvd_factors(stats, layer)
-    if method == "deflation":
-        return fz.deflation_factors(stats, layer, eps)
-    if method == "lanczos":
-        return fz.lanczos_factors(stats, layer, eps)
-    return fz.kfac_corrected_factors(stats, layer, eps)
+def _factorizer(method: str):
+    if method not in fz.FACTORIZERS:
+        raise ValueError(
+            f"unknown second-order method {method!r}; choose from {SECOND_ORDER_METHODS}"
+        )
+    return fz.FACTORIZERS[method]
 
 
 def natural_step(
@@ -207,9 +202,10 @@ def natural_step(
     if refreshed:
         sampled = sample_targets(acts[-1], model.loss, state.sample_rng)
         _, stats = backward(model, acts, sampled)
+        factorize = _factorizer(config.method)
         sigma1, sigma2, degenerate = [], [], []
         for i, ls in enumerate(state.layer_states, start=1):
-            result = _factorize_layer(config.method, stats, i, config.svd_eps)
+            result = factorize(stats, i, config.svd_eps)
             update_factors(ls, result, k, config.ema_decay)
             sigma1.append(result.sigma(0))
             sigma2.append(result.sigma(1) if len(result.triplets) > 1 else float("nan"))
@@ -279,19 +275,19 @@ def fim_error_probe(
     x: np.ndarray,
     layer: int,
     methods: tuple[str, ...] = SECOND_ORDER_METHODS,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
     eps: float = fz.DEFAULT_EPS,
-    seed: int = 0,
 ) -> dict[str, ProbeErrors]:
     """Relative Fisher-approximation errors of each method on one batch.
 
     Targets are sampled once from the model's predictive distribution and
     every method factors the same statistics, without moving-average
     blending, so the numbers compare approximation quality alone.  The
-    probed layer must be small enough to materialize densely.
+    probed layer must be small enough to materialize densely.  An unknown
+    method name raises ValueError before anything is computed.
     """
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    factorizers = {method: _factorizer(method) for method in methods}
     acts = forward(model, x)
     sampled = sample_targets(acts[-1], model.loss, rng)
     _, stats = backward(model, acts, sampled)
@@ -300,8 +296,8 @@ def fim_error_probe(
     spec_f = spectrum(f)
     spec_norm = float(np.linalg.norm(spec_f))
     out = {}
-    for method in methods:
-        pairs = _factorize_layer(method, stats, layer, eps).pairs
+    for method, factorize in factorizers.items():
+        pairs = factorize(stats, layer, eps).pairs
         fhat = sum(kron(p.left, p.right) for p in pairs)
         frob = float(np.linalg.norm(f - fhat)) / f_norm
         spec_err = float(np.linalg.norm(spec_f - spectrum(fhat))) / spec_norm

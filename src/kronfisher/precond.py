@@ -4,16 +4,20 @@ The per-layer lifecycle: factor pairs arrive every factor-refresh
 iteration and are folded into an exponential moving average; every
 inverse-refresh iteration the dominant pair is Tikhonov-damped with the
 trace-balanced split and an inverse cache is rebuilt; every optimization
-step applies the cached inverse to the layer gradient.  Rank-two states
-solve (A kron B + C kron D) x = vec(V) through the congruence
-diagonalization of C against A and D against B, which costs only
-matrix-size work, never Kronecker-size work.
+step applies the cached inverse to the layer gradient.
+
+A state holds as many pairs as its first refresh brought, one or two,
+and later refreshes must bring the same number.  One pair is inverted
+factor by factor (`Rank1Cache`).  Two pairs solve (A kron B + C kron D) x = vec(V) through
+the congruence diagonalization of C against A and D against B
+(`Rank2Cache`), which costs only matrix-size work, never Kronecker-size
+work.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,16 +78,16 @@ class Rank2Cache:
 class KronApprox:
     """Per-layer preconditioner state: averaged pairs and inverse cache."""
 
-    kind: str
     pairs: tuple[KronPair, ...] | None = None
     version: int = 0
     cache: Rank1Cache | Rank2Cache | None = None
     fallback_events: int = 0
-    refresh_count: int = 0
 
-    def __post_init__(self):
-        if self.kind not in ("rank1", "rank2"):
-            raise ValueError(f"unknown preconditioner kind {self.kind!r}")
+    # read-only label of the pair count; benchmarks/tracing.py reads it
+    # after every rebuild
+    @property
+    def kind(self) -> str:
+        return "rank2" if self.pairs is not None and len(self.pairs) == 2 else "rank1"
 
 
 def ema_update(old: KronPair, new: KronPair, k: int, alpha: float) -> KronPair:
@@ -185,31 +189,36 @@ def kl_clip(
 
 
 def update_factors(state: KronApprox, result: FactorResult, k: int, alpha: float) -> None:
-    """Fold freshly computed pairs into the averaged state."""
-    expected = 1 if state.kind == "rank1" else 2
-    if len(result.pairs) != expected:
-        raise ValueError(f"{state.kind} state got {len(result.pairs)} pairs")
+    """Fold freshly computed pairs into the averaged state.
+
+    The first refresh fixes the number of pairs, one or two; a later
+    refresh with a different number is refused.
+    """
+    n = len(result.pairs)
     if state.pairs is None:
+        if n not in (1, 2):
+            raise ValueError(f"a preconditioner holds one or two pairs, got {n}")
         state.pairs = tuple(KronPair(p.left.copy(), p.right.copy()) for p in result.pairs)
     else:
+        if n != len(state.pairs):
+            raise ValueError(f"state holds {len(state.pairs)} pairs, refresh brought {n}")
         state.pairs = tuple(
             ema_update(old, new, k, alpha) for old, new in zip(state.pairs, result.pairs)
         )
     state.version += 1
-    state.refresh_count += 1
 
 
 def rebuild_cache(state: KronApprox, damping: float, delta: float = DENOM_DELTA) -> None:
     """Damp the dominant averaged pair and rebuild the inverse cache.
 
-    Rank-two states whose safeguarded denominator fraction exceeds the
-    fallback threshold drop to the rank-one inverse for this refresh and
-    log the event.
+    A state holding two pairs gets the congruence cache; if its
+    safeguarded denominator fraction exceeds the fallback threshold it
+    drops to the rank-one inverse for this refresh and logs the event.
     """
     if state.pairs is None:
         raise ValueError("no factors accumulated yet")
     a_d, g_d = damp_pair(state.pairs[0].left, state.pairs[0].right, damping)
-    if state.kind == "rank2":
+    if len(state.pairs) == 2:
         c, d = state.pairs[1].left, state.pairs[1].right
         cache = kron_sum_prepare(
             a_d, g_d, c, d, delta=delta, version=state.version, damping=damping

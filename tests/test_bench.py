@@ -204,18 +204,20 @@ class TestExperimentConfig:
     def test_preset_tables(self):
         mnist = ARCHITECTURES["mnist"]
         assert mnist["layer_dims"] == [784, 1000, 500, 250, 30, 250, 500, 1000, 784]
-        assert mnist["loss"] == "bce" and mnist["batch_size"] == 512
+        assert mnist["loss"] == "bce"
         faces = ARCHITECTURES["faces"]
         assert faces["layer_dims"] == [625, 2000, 1000, 500, 30, 500, 1000, 2000, 625]
-        assert faces["loss"] == "mse" and faces["batch_size"] == 1024
+        assert faces["loss"] == "mse"
         curves = ARCHITECTURES["curves"]
         assert curves["layer_dims"] == [
             784, 400, 200, 100, 50, 25, 6, 25, 50, 100, 200, 400, 784,
         ]
-        assert curves["loss"] == "bce" and curves["batch_size"] == 256
+        assert curves["loss"] == "bce"
         desk = ARCHITECTURES["curves_desk"]
         assert desk["layer_dims"] == [64, 32, 16, 6, 16, 32, 64]
-        assert desk["batch_size"] == 64
+        # a preset fixes only the architecture; m is optimizer.batch_size
+        for arch in ARCHITECTURES.values():
+            assert set(arch) == {"layer_dims", "activations", "loss"}
 
     def test_preset_fills_architecture(self, tmp_path):
         config = desk_config(tmp_path)
@@ -229,6 +231,12 @@ class TestExperimentConfig:
             config_from_dict({"preset": "curves_desk", "leraning_rate": 0.1})
         with pytest.raises(ValueError, match="unknown optimizer keys"):
             config_from_dict({"preset": "curves_desk", "optimizer": {"lr": 0.1, "momentm": 0.9}})
+
+    def test_unknown_probe_method_rejected_at_load(self):
+        with pytest.raises(ValueError, match="unknown probe methods"):
+            config_from_dict({"preset": "curves_desk", "probe": {"methods": ["kpsdv"]}})
+        with pytest.raises(ValueError, match="unknown probe methods"):
+            config_from_dict({"preset": "curves_desk", "probe": {"methods": ["kfac", "sgd"]}})
 
     def test_schema_version_checked(self):
         with pytest.raises(ValueError, match="schema"):

@@ -14,7 +14,6 @@ from conftest import make_model_stats
 from kronfisher.linalg import kron, vec
 from kronfisher.mlp import backward, forward, init_mlp, sample_targets
 from kronfisher.optim import (
-    RANK2_METHODS,
     SECOND_ORDER_METHODS,
     OptimizerConfig,
     adam_step,
@@ -25,7 +24,7 @@ from kronfisher.optim import (
     sgd_step,
     train_step,
 )
-from kronfisher.precond import damp_pair
+from kronfisher.precond import Rank1Cache, Rank2Cache, damp_pair
 
 
 def tiny_model(rng, loss="bce", dims=(4, 3, 2)):
@@ -63,11 +62,17 @@ class TestConfig:
         assert s.velocity is not None and s.layer_states is None
         s = init_train_state(model, OptimizerConfig(method="adam"))
         assert s.m1 is not None and s.m2 is not None
-        s = init_train_state(model, OptimizerConfig(method="kfac"))
-        assert [ls.kind for ls in s.layer_states] == ["rank1", "rank1"]
-        for method in RANK2_METHODS:
-            s = init_train_state(model, OptimizerConfig(method=method))
-            assert [ls.kind for ls in s.layer_states] == ["rank2", "rank2"]
+        batch = tiny_batch(rng, model)
+        two_term = {"deflation", "lanczos", "kfac_corrected"}
+        for method in SECOND_ORDER_METHODS:
+            config = OptimizerConfig(method=method, lr=1e-3)
+            s = init_train_state(model, config)
+            assert [ls.pairs for ls in s.layer_states] == [None, None]
+            # the pair count, and with it the inverse cache, follows the method's factors
+            natural_step(copy.deepcopy(model), batch, s, config)
+            n, cache = (2, Rank2Cache) if method in two_term else (1, Rank1Cache)
+            assert [len(ls.pairs) for ls in s.layer_states] == [n, n], method
+            assert all(isinstance(ls.cache, cache) for ls in s.layer_states), method
 
 
 class TestFirstOrderSteps:
@@ -262,3 +267,12 @@ class TestErrorProbe:
         for m in a:
             assert a[m].frobenius == b[m].frobenius
             assert a[m].spectral == b[m].spectral
+
+    def test_unknown_method_raises(self):
+        """Every name must be a row of the factor table; none falls through to another."""
+        rng = np.random.default_rng(13)
+        model = tiny_model(rng)
+        x = rng.random((6, 4))
+        for methods in (("kpsdv",), ("sgd",), ("kpsdv", "sgd", "kfac_corrected")):
+            with pytest.raises(ValueError, match="kfac_corrected"):
+                fim_error_probe(model, x, layer=1, methods=methods, rng=np.random.default_rng(0))

@@ -191,16 +191,15 @@ class TestKlClip:
 
 class TestStateMachine:
     def test_first_update_copies_pairs(self):
-        state = KronApprox(kind="rank1")
+        state = KronApprox()
         pair = KronPair(np.eye(2), np.eye(2))
         update_factors(state, make_result([pair]), k=1, alpha=0.95)
         pair.left[0, 0] = 99.0
         assert state.pairs[0].left[0, 0] == 1.0
         assert state.version == 1
-        assert state.refresh_count == 1
 
     def test_second_update_blends(self):
-        state = KronApprox(kind="rank1")
+        state = KronApprox()
         update_factors(
             state, make_result([KronPair(np.zeros((2, 2)), np.zeros((2, 2)))]), 1, 0.95
         )
@@ -211,20 +210,35 @@ class TestStateMachine:
         assert state.version == 2
 
     def test_pair_count_mismatch_raises(self):
-        state = KronApprox(kind="rank2")
-        with pytest.raises(ValueError):
-            update_factors(state, make_result([KronPair(np.eye(2), np.eye(2))]), 1, 0.9)
+        """The first refresh fixes the pair count; a later one must match it."""
+        two = [KronPair(np.eye(2), np.eye(2)), KronPair(np.eye(2), np.eye(2))]
+        state = KronApprox()
+        update_factors(state, make_result(two), 1, 0.9)
+        with pytest.raises(ValueError, match="holds 2 pairs"):
+            update_factors(state, make_result(two[:1]), 2, 0.9)
+        state = KronApprox()
+        update_factors(state, make_result(two[:1]), 1, 0.9)
+        with pytest.raises(ValueError, match="holds 1 pairs"):
+            update_factors(state, make_result(two), 2, 0.9)
+        with pytest.raises(ValueError, match="one or two pairs"):
+            update_factors(KronApprox(), make_result(two + two[:1]), 1, 0.9)
 
-    def test_unknown_kind_raises(self):
-        with pytest.raises(ValueError):
-            KronApprox(kind="rank3")
+    def test_kind_follows_pair_count(self):
+        """kind is a read-only label of the pairs held, not a setting."""
+        with pytest.raises(TypeError):
+            KronApprox(kind="rank2")
+        state = KronApprox()
+        update_factors(state, make_result([KronPair(np.eye(2), np.eye(2))] * 2), 1, 0.9)
+        assert state.kind == "rank2"
+        with pytest.raises(AttributeError):
+            state.kind = "rank1"
 
     def test_rebuild_before_update_raises(self):
         with pytest.raises(ValueError):
-            rebuild_cache(KronApprox(kind="rank1"), damping=1e-2)
+            rebuild_cache(KronApprox(), damping=1e-2)
 
     def test_precondition_before_rebuild_raises(self):
-        state = KronApprox(kind="rank1")
+        state = KronApprox()
         update_factors(state, make_result([KronPair(np.eye(2), np.eye(2))]), 1, 0.95)
         with pytest.raises(ValueError):
             precondition_layer(state, np.zeros((2, 2)))
@@ -233,7 +247,7 @@ class TestStateMachine:
         rng = np.random.default_rng(7)
         a = rand_spd(rng, 3)
         g = rand_spd(rng, 2)
-        state = KronApprox(kind="rank1")
+        state = KronApprox()
         update_factors(state, make_result([KronPair(a, g)]), 1, 0.95)
         rebuild_cache(state, damping=1e-2)
         assert isinstance(state.cache, Rank1Cache)
@@ -253,7 +267,7 @@ class TestStateMachine:
         g = rand_spd(rng, 2)
         c = rand_sym(rng, 3, scale=0.2)
         d = rand_sym(rng, 2, scale=0.2)
-        state = KronApprox(kind="rank2")
+        state = KronApprox()
         update_factors(state, make_result([KronPair(a, g), KronPair(c, d)]), 1, 0.95)
         rebuild_cache(state, damping=1e-2)
         assert isinstance(state.cache, Rank2Cache)
@@ -267,7 +281,7 @@ class TestStateMachine:
         a = rand_spd(rng, 3)
         g = rand_spd(rng, 2)
         a_d, g_d = damp_pair(a, g, 1e-3)
-        state = KronApprox(kind="rank2")
+        state = KronApprox()
         # corrector engineered to cancel the damped dominant product
         update_factors(
             state, make_result([KronPair(a, g), KronPair(-a_d, g_d)]), 1, 0.95
@@ -280,7 +294,7 @@ class TestStateMachine:
 
     def test_stale_cache_survives_factor_updates(self):
         rng = np.random.default_rng(10)
-        state = KronApprox(kind="rank1")
+        state = KronApprox()
         update_factors(state, make_result([KronPair(rand_spd(rng, 2), rand_spd(rng, 2))]), 1, 0.95)
         rebuild_cache(state, damping=1e-2)
         old_version = state.cache.version
