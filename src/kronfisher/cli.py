@@ -1,8 +1,8 @@
 """Command-line entry points: train, probe-fim, gridsearch, gen-data.
 
-The KRONFISHER_THREADS environment variable, when set, caps the BLAS
-thread pools before numpy loads; set it in the shell that launches the
-command.
+BLAS reads its thread count when the package first imports numpy, before
+this module runs; cap it with OPENBLAS_NUM_THREADS (or OMP_NUM_THREADS)
+in the shell that launches the command.
 """
 
 from __future__ import annotations
@@ -10,19 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
-
-
-def _cap_threads() -> None:
-    cap = os.environ.get("KRONFISHER_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
-
-
-_cap_threads()
 
 
 def _add_override_args(p: argparse.ArgumentParser) -> None:

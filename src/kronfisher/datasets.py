@@ -3,8 +3,9 @@
 Synthetic curve images are random cubic Bezier strokes splatted onto a
 square grid with bilinear antialiasing; they are the default desk-scale
 autoencoder workload and are fully determined by (n, seed, side).  The
-IDX reader/writer covers the big-endian unsigned-byte image and label
-layouts (magics 0x00000803 and 0x00000801).
+IDX reader/writer covers the big-endian unsigned-byte image layout
+(magic 0x00000803): every dataset here is autoencoder images, so any
+other magic, the label layout included, is refused.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ __all__ = [
 ]
 
 IDX_IMAGES_MAGIC = 0x00000803
-IDX_LABELS_MAGIC = 0x00000801
+# magic plus the three dimensions (n, rows, cols)
+IDX_HEADER_BYTES = 16
 
 # refuse headers whose payload could not be a sane dataset
 MAX_IDX_BYTES = 1 << 31
@@ -76,48 +78,36 @@ def gen_gaussian_blobs(n: int, seed: int, side: int = 25) -> np.ndarray:
 
 
 def load_idx(path) -> np.ndarray:
-    """Read an IDX file: images become an m x pixels matrix scaled to [0, 1],
-    labels a 1-d integer vector."""
+    """Read an IDX image file as an m x pixels matrix scaled to [0, 1]."""
     data = Path(path).read_bytes()
     if len(data) < 4:
         raise ValueError(f"{path}: truncated IDX header")
     magic = struct.unpack(">I", data[:4])[0]
-    if magic == IDX_IMAGES_MAGIC:
-        ndim = 3
-    elif magic == IDX_LABELS_MAGIC:
-        ndim = 1
-    else:
-        raise ValueError(f"{path}: bad IDX magic {magic:#010x}")
-    header = 4 + 4 * ndim
-    if len(data) < header:
+    if magic != IDX_IMAGES_MAGIC:
+        raise ValueError(
+            f"{path}: bad IDX magic {magic:#010x}; only images ({IDX_IMAGES_MAGIC:#010x}) are read"
+        )
+    if len(data) < IDX_HEADER_BYTES:
         raise ValueError(f"{path}: truncated IDX header")
-    dims = struct.unpack(f">{ndim}I", data[4:header])
-    count = 1
-    for d in dims:
-        count *= d
+    dims = struct.unpack(">III", data[4:IDX_HEADER_BYTES])
+    n, rows, cols = dims
+    count = n * rows * cols
     if count > MAX_IDX_BYTES:
         raise ValueError(f"{path}: IDX dimensions {dims} overflow the size guard")
-    if len(data) != header + count:
+    if len(data) != IDX_HEADER_BYTES + count:
         raise ValueError(
-            f"{path}: payload has {len(data) - header} bytes, header promises {count}"
+            f"{path}: payload has {len(data) - IDX_HEADER_BYTES} bytes, header promises {count}"
         )
-    raw = np.frombuffer(data, dtype=np.uint8, offset=header)
-    if ndim == 1:
-        return raw.astype(np.int64)
-    n, rows, cols = dims
+    raw = np.frombuffer(data, dtype=np.uint8, offset=IDX_HEADER_BYTES)
     return raw.reshape(n, rows * cols).astype(np.float64) / 255.0
 
 
-def save_idx(path, array: np.ndarray) -> None:
-    """Write images (n, rows, cols) or labels (n,) as unsigned bytes."""
-    arr = np.asarray(array)
-    if arr.ndim == 3:
-        if arr.dtype != np.uint8:
-            arr = np.clip(np.round(arr * 255.0), 0, 255).astype(np.uint8)
-        header = struct.pack(">IIII", IDX_IMAGES_MAGIC, *arr.shape)
-    elif arr.ndim == 1:
-        arr = arr.astype(np.uint8)
-        header = struct.pack(">II", IDX_LABELS_MAGIC, arr.shape[0])
-    else:
-        raise ValueError(f"cannot write array of ndim {arr.ndim} as IDX")
+def save_idx(path, images: np.ndarray) -> None:
+    """Write images (n, rows, cols) as unsigned bytes; float pixels are read as [0, 1]."""
+    arr = np.asarray(images)
+    if arr.ndim != 3:
+        raise ValueError(f"IDX images need shape (n, rows, cols), got ndim {arr.ndim}")
+    if arr.dtype != np.uint8:
+        arr = np.clip(np.round(arr * 255.0), 0, 255).astype(np.uint8)
+    header = struct.pack(">IIII", IDX_IMAGES_MAGIC, *arr.shape)
     Path(path).write_bytes(header + arr.tobytes())

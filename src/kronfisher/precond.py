@@ -11,7 +11,8 @@ and later refreshes must bring the same number.  One pair is inverted
 factor by factor (`Rank1Cache`).  Two pairs solve (A kron B + C kron D) x = vec(V) through
 the congruence diagonalization of C against A and D against B
 (`Rank2Cache`), which costs only matrix-size work, never Kronecker-size
-work.
+work.  A cache holds only what `precondition_layer` applies; a rebuild
+replaces it whole.
 """
 
 from __future__ import annotations
@@ -52,8 +53,6 @@ class Rank1Cache:
 
     a_inv: np.ndarray
     g_inv: np.ndarray
-    version: int
-    damping: float
 
 
 @dataclass
@@ -61,17 +60,14 @@ class Rank2Cache:
     """Congruence factors for the two-term Kronecker sum solve.
 
     k1/k2 are the left/right congruence transforms, denom the
-    safeguarded elementwise denominator 1 + outer(s2, s1).
+    safeguarded elementwise denominator 1 + outer(s2, s1) of the two
+    congruence spectra.
     """
 
     k1: np.ndarray
     k2: np.ndarray
-    s1: np.ndarray
-    s2: np.ndarray
     denom: np.ndarray
     safeguarded_fraction: float
-    version: int
-    damping: float
 
 
 @dataclass
@@ -79,7 +75,6 @@ class KronApprox:
     """Per-layer preconditioner state: averaged pairs and inverse cache."""
 
     pairs: tuple[KronPair, ...] | None = None
-    version: int = 0
     cache: Rank1Cache | Rank2Cache | None = None
     fallback_events: int = 0
 
@@ -137,16 +132,13 @@ def kron_sum_prepare(
     b: np.ndarray,
     c: np.ndarray,
     d: np.ndarray,
-    delta: float = DENOM_DELTA,
-    version: int = 0,
-    damping: float = 0.0,
 ) -> Rank2Cache:
     """Factor (a kron b + c kron d) for repeated solves.
 
     a and b must be positive definite (the damped dominant pair); c and d
-    only symmetric.  Denominator entries closer to zero than delta are
-    pushed to sign(x)*delta and the safeguarded fraction is recorded so
-    callers can fall back when the sum is effectively singular.
+    only symmetric.  Denominator entries closer to zero than DENOM_DELTA
+    are pushed to sign(x)*DENOM_DELTA and the safeguarded fraction is
+    recorded so callers can fall back when the sum is effectively singular.
     """
     a_isqrt = inv_sqrt(a, context="left dominant factor")
     b_isqrt = inv_sqrt(b, context="right dominant factor")
@@ -155,12 +147,11 @@ def kron_sum_prepare(
     k1 = a_isqrt @ e1
     k2 = b_isqrt @ e2
     denom = 1.0 + np.outer(s2, s1)
-    small = np.abs(denom) < delta
+    small = np.abs(denom) < DENOM_DELTA
     if np.any(small):
         signs = np.where(denom[small] >= 0.0, 1.0, -1.0)
-        denom[small] = signs * delta
-    frac = float(np.mean(small))
-    return Rank2Cache(k1, k2, s1, s2, denom, frac, version, damping)
+        denom[small] = signs * DENOM_DELTA
+    return Rank2Cache(k1, k2, denom, float(np.mean(small)))
 
 
 def kron_sum_apply(cache: Rank2Cache, v: np.ndarray) -> np.ndarray:
@@ -205,10 +196,9 @@ def update_factors(state: KronApprox, result: FactorResult, k: int, alpha: float
         state.pairs = tuple(
             ema_update(old, new, k, alpha) for old, new in zip(state.pairs, result.pairs)
         )
-    state.version += 1
 
 
-def rebuild_cache(state: KronApprox, damping: float, delta: float = DENOM_DELTA) -> None:
+def rebuild_cache(state: KronApprox, damping: float) -> None:
     """Damp the dominant averaged pair and rebuild the inverse cache.
 
     A state holding two pairs gets the congruence cache; if its
@@ -219,10 +209,7 @@ def rebuild_cache(state: KronApprox, damping: float, delta: float = DENOM_DELTA)
         raise ValueError("no factors accumulated yet")
     a_d, g_d = damp_pair(state.pairs[0].left, state.pairs[0].right, damping)
     if len(state.pairs) == 2:
-        c, d = state.pairs[1].left, state.pairs[1].right
-        cache = kron_sum_prepare(
-            a_d, g_d, c, d, delta=delta, version=state.version, damping=damping
-        )
+        cache = kron_sum_prepare(a_d, g_d, state.pairs[1].left, state.pairs[1].right)
         if cache.safeguarded_fraction <= FALLBACK_FRACTION:
             state.cache = cache
             return
@@ -231,9 +218,7 @@ def rebuild_cache(state: KronApprox, damping: float, delta: float = DENOM_DELTA)
             "two-term solve ill-posed (%.1f%% safeguarded); falling back to rank-1 inverse",
             100.0 * cache.safeguarded_fraction,
         )
-    state.cache = Rank1Cache(
-        np.linalg.inv(a_d), np.linalg.inv(g_d), version=state.version, damping=damping
-    )
+    state.cache = Rank1Cache(np.linalg.inv(a_d), np.linalg.inv(g_d))
 
 
 def precondition_layer(state: KronApprox, grad_w: np.ndarray) -> np.ndarray:

@@ -64,16 +64,14 @@ def _format(name: str, value) -> str:
     return repr(float(value))
 
 
-def emit_csv(records: list[MetricRecord], path, fields: list[str] | None = None) -> list[str]:
-    """Write records to CSV; returns the header used."""
-    if fields is None:
-        fields = record_fields(records)
+def emit_csv(records: list[MetricRecord], path) -> None:
+    """Write records to CSV under the header `record_fields` gives."""
+    fields = record_fields(records)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(fields)
         for r in records:
             writer.writerow(_format(name, r.get(name)) for name in fields)
-    return fields
 
 
 def parse_csv(path) -> list[MetricRecord]:
@@ -126,11 +124,9 @@ def emit_plot(
     x: str = "iteration",
     series: list[str] = ("train_loss",),
     title: str = "",
-    width: int = 900,
-    height: int = 520,
 ) -> None:
-    """Self-contained SVG line chart: one polyline per series, skipping gaps."""
-    margin = 60
+    """Self-contained 900 x 520 SVG line chart: one polyline per series, skipping gaps."""
+    width, height, margin = 900, 520, 60
     pts_by_series: dict[str, list[tuple[float, float]]] = {}
     for name in series:
         pts = []

@@ -79,19 +79,6 @@ class TestIdxFiles:
         quantized = np.clip(np.round(imgs * 255.0), 0, 255) / 255.0
         assert_allclose(back, quantized.reshape(3, 20), atol=1e-12)
 
-    def test_label_round_trip(self, tmp_path):
-        labels = np.array([0, 3, 9, 255])
-        path = tmp_path / "labels.idx"
-        save_idx(path, labels)
-        back = load_idx(path)
-        assert back.dtype == np.int64
-        assert np.array_equal(back, labels)
-
-    def test_empty_labels(self, tmp_path):
-        path = tmp_path / "empty.idx"
-        save_idx(path, np.zeros(0, dtype=np.int64))
-        assert load_idx(path).shape == (0,)
-
     def test_hand_packed_fixture(self, tmp_path):
         payload = bytes(range(8))
         path = tmp_path / "packed.idx"
@@ -125,8 +112,9 @@ class TestIdxFiles:
             load_idx(path)
 
     def test_bad_rank_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            save_idx(tmp_path / "x.idx", np.zeros((2, 2)))
+        for arr in (np.zeros((2, 2)), np.zeros(3, dtype=np.uint8)):
+            with pytest.raises(ValueError, match="ndim"):
+                save_idx(tmp_path / "x.idx", arr)
 
 
 class TestRecords:
@@ -306,6 +294,23 @@ class TestBuildDataset:
         train, val = build_dataset(config, np.random.default_rng(0))
         assert train.shape == (10, 16)
         assert val.shape == (5, 16)
+
+    def test_label_file_rejected(self, tmp_path):
+        """A label-layout file (magic 0x801) is refused by name, not
+        mistaken for images."""
+        path = tmp_path / "labels.idx"
+        path.write_bytes(struct.pack(">II", 0x00000801, 4) + bytes([0, 3, 9, 255]))
+        config = ExperimentConfig(
+            preset="",
+            dataset="mnist",
+            layer_dims=[16, 8, 16],
+            activations=["relu", "sigmoid"],
+            loss="bce",
+            data_path=str(path),
+            out_dir=str(tmp_path),
+        )
+        with pytest.raises(ValueError, match="magic 0x00000801"):
+            build_dataset(config, np.random.default_rng(0))
 
     def test_idx_dataset_requires_path(self, tmp_path):
         config = ExperimentConfig(

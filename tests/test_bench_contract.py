@@ -4,7 +4,9 @@ The benchmark's tracer times calls by swapping module attributes for
 wrappers (`tracing.WRAPPED`) and reads a few attributes of the results and
 states it sees.  A refactor that keeps the numbers but moves a call out of
 a wrapped namespace, or drops an attribute the tracer reads, loses spans
-silently; these tests make it fail loudly instead.
+silently; these tests make it fail loudly instead.  The harness's own
+per-step and final checks read the train state directly; the last test
+runs them on both preconditioner paths.
 """
 
 import sys
@@ -18,7 +20,9 @@ from kronfisher.mlp import forward, init_mlp, sample_targets
 from kronfisher.precond import Rank1Cache
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "benchmarks"))
+import harness  # noqa: E402
 import tracing  # noqa: E402
+from workloads import Workload  # noqa: E402
 
 MODULES = {
     "experiment": experiment,
@@ -85,3 +89,32 @@ def test_two_term_rebuild_spans_carry_safeguarded_info():
     assert [s[tracing.INFO] for s in named(spans, "precond.rebuild_cache")] == [None] * (
         STEPS * n_layers
     )
+
+
+@pytest.mark.parametrize(
+    "method, cache_type", [("kfac", Rank1Cache), ("kfac_corrected", precond.Rank2Cache)]
+)
+def test_harness_checks_read_the_train_state(method, cache_type):
+    """step_problem reads the averaged pairs, the episode loop sums
+    solver_iterations, and dense_check calls rebuild_cache(state, damping)
+    positionally, damp_pair, and picks its dense sum by isinstance."""
+    workload = Workload(
+        name="contract",
+        why="",
+        preset="curves_desk",
+        side=8,
+        n_train=64,
+        n_val=16,
+        optimizer=dict(
+            method=method, lr=0.3, damping=1e-2, clip=0.1, t1=1, t2=1, batch_size=16
+        ),
+        steps=STEPS,
+    )
+    inst = harness.set_up(workload, seed=0, instance=0, tracer=harness.NULL_TRACER)
+    for k in range(STEPS):
+        x = inst.train[inst.order[k]]
+        metrics = optim.train_step(inst.model, (x, x), inst.state, inst.config.optimizer)
+        assert harness.step_problem(metrics, inst.state) == ""
+        assert sum(metrics.solver_iterations or ()) >= 0
+    assert all(isinstance(ls.cache, cache_type) for ls in inst.state.layer_states)
+    assert harness.dense_check(inst, x) == ""
