@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import gen_gaussian_blobs, gen_synthetic_curves, load_idx
+from .linalg import NotPositiveDefiniteError
 from .mlp import init_mlp, batch_loss, forward
 from .optim import (
     OptimizerConfig,
@@ -152,10 +153,15 @@ class ExperimentConfig:
 
 @dataclass
 class RunResult:
-    config: ExperimentConfig
     records: list[MetricRecord]
     summary: dict
     out_dir: Path
+
+
+def _section(raw: dict, key: str, want: str = "an object") -> dict:
+    if not isinstance(raw[key], dict):
+        raise ValueError(f"config key {key!r} must be {want}, got {type(raw[key]).__name__}")
+    return raw[key]
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -164,14 +170,14 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     unknown = set(raw) - known
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    if "optimizer" in raw and isinstance(raw["optimizer"], dict):
-        opt_known = set(OptimizerConfig.__dataclass_fields__)
-        opt_unknown = set(raw["optimizer"]) - opt_known
+    if "optimizer" in raw:
+        opt = _section(raw, "optimizer")
+        opt_unknown = set(opt) - set(OptimizerConfig.__dataclass_fields__)
         if opt_unknown:
             raise ValueError(f"unknown optimizer keys: {sorted(opt_unknown)}")
-        raw["optimizer"] = OptimizerConfig(**raw["optimizer"])
-    if "probe" in raw and isinstance(raw["probe"], dict):
-        probe = dict(raw["probe"])
+        raw["optimizer"] = OptimizerConfig(**opt)
+    if raw.get("probe") is not None:
+        probe = dict(_section(raw, "probe", "an object or null"))
         if "methods" in probe:
             probe["methods"] = tuple(probe["methods"])
         raw["probe"] = ProbeSpec(**probe)
@@ -188,9 +194,7 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
                 continue
             if key in opt_fields:
                 raw.setdefault("optimizer", {})
-                if not isinstance(raw["optimizer"], dict):
-                    raw["optimizer"] = asdict(raw["optimizer"])
-                raw["optimizer"][key] = value
+                _section(raw, "optimizer")[key] = value
             else:
                 raw[key] = value
     return config_from_dict(raw)
@@ -225,12 +229,6 @@ def build_dataset(config: ExperimentConfig, rng: np.random.Generator) -> tuple[n
     return data[: config.n_train], data[config.n_train : config.n_train + config.n_val]
 
 
-def _probe_layer(config: ExperimentConfig) -> int:
-    if config.probe is not None and config.probe.layer is not None:
-        return config.probe.layer
-    return config.default_probe_layer
-
-
 def run_experiment(config: ExperimentConfig, write_artifacts: bool = True) -> RunResult:
     """Train per the config, recording one metric row per iteration.
 
@@ -253,7 +251,10 @@ def run_experiment(config: ExperimentConfig, write_artifacts: bool = True) -> Ru
         raise ValueError(f"batch size {bs} exceeds training set size {len(train)}")
     batches_per_epoch = len(train) // bs
     probe = config.probe
-    probe_layer = _probe_layer(config)
+    if probe is not None and probe.layer is not None:
+        probe_layer = probe.layer
+    else:
+        probe_layer = config.default_probe_layer
 
     records: list[MetricRecord] = []
     epoch_train_loss: list[float] = []
@@ -328,7 +329,7 @@ def run_experiment(config: ExperimentConfig, write_artifacts: bool = True) -> Ru
             title=f"{opt.method}: loss vs wall clock",
         )
         (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
-    return RunResult(config, records, summary, out_dir)
+    return RunResult(records, summary, out_dir)
 
 
 def grid_search(
@@ -341,13 +342,13 @@ def grid_search(
     """Sweep learning rate (and damping/clip for second-order methods).
 
     Returns a summary dict with one entry per setting and the best one by
-    final training loss; divergent runs are recorded, not fatal.
+    final training loss.  A run whose loss goes non-finite or whose damped
+    factors lose definiteness is recorded as diverged, not fatal.
     """
     second_order = config.optimizer.method in SECOND_ORDER_METHODS
     if not second_order:
         lambdas, clips = (config.optimizer.damping,), (config.optimizer.clip,)
     runs = []
-    best = None
     for eta in etas:
         for lam in lambdas:
             for clip in clips:
@@ -357,28 +358,19 @@ def grid_search(
                     optimizer=replace(config.optimizer, lr=eta, damping=lam, clip=clip),
                     out_dir=str(Path(config.out_dir) / tag),
                 )
+                entry = {"eta": eta, "damping": lam, "clip": clip}
                 try:
                     result = run_experiment(sub, write_artifacts=write_artifacts)
-                    entry = {
-                        "eta": eta,
-                        "damping": lam,
-                        "clip": clip,
-                        "final_train_loss": result.summary["final_train_loss"],
-                        "epoch_train_loss": result.summary["epoch_train_loss"],
-                        "status": "ok",
-                    }
-                    if best is None or entry["final_train_loss"] < best["final_train_loss"]:
-                        best = entry
-                except (RuntimeError, FloatingPointError) as exc:
+                    entry["final_train_loss"] = result.summary["final_train_loss"]
+                    entry["epoch_train_loss"] = result.summary["epoch_train_loss"]
+                    entry["status"] = "ok"
+                except (RuntimeError, FloatingPointError, NotPositiveDefiniteError) as exc:
                     logger.warning("grid point %s diverged: %s", tag, exc)
-                    entry = {
-                        "eta": eta,
-                        "damping": lam,
-                        "clip": clip,
-                        "final_train_loss": float("nan"),
-                        "status": f"diverged: {exc}",
-                    }
+                    entry["final_train_loss"] = float("nan")
+                    entry["status"] = f"diverged: {exc}"
                 runs.append(entry)
+    ok = [r for r in runs if r["status"] == "ok"]
+    best = min(ok, key=lambda r: r["final_train_loss"]) if ok else None
     out = {"method": config.optimizer.method, "runs": runs, "best": best}
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

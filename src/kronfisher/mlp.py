@@ -78,10 +78,6 @@ class MLPModel:
     def n_layers(self) -> int:
         return len(self.weights)
 
-    @property
-    def param_count(self) -> int:
-        return sum(w.size for w in self.weights)
-
 
 @dataclass
 class LayerBatchStats:
@@ -96,10 +92,6 @@ class LayerBatchStats:
         for a, b in zip(self.abar, self.g):
             if a.shape[0] != b.shape[0]:
                 raise ValueError("per-layer row counts disagree")
-
-    @property
-    def batch_size(self) -> int:
-        return self.abar[0].shape[0] if self.abar else 0
 
     @property
     def n_layers(self) -> int:

@@ -16,6 +16,11 @@ The natural step at iteration k (1-based):
 4. precondition the layer gradients with the cached inverses, scale by
    the trust-region factor, and descend.
 
+The first-order baselines share step 1, then take a heavy-ball (sgd) or
+bias-corrected Adam update whose 1-based step is k.  The moving-average
+cap `EMA_DECAY` (KFAC's 0.95) and Adam's moments `ADAM_BETA1`,
+`ADAM_BETA2`, `ADAM_EPS` (Kingma & Ba's) are constants, not settings.
+
 All randomness flows through explicit generators in `TrainState`, so a
 run is a pure function of (config, seeds).
 """
@@ -52,6 +57,11 @@ FIRST_ORDER_METHODS = ("sgd", "adam")
 SECOND_ORDER_METHODS = tuple(fz.FACTORIZERS)
 METHODS = FIRST_ORDER_METHODS + SECOND_ORDER_METHODS
 
+EMA_DECAY = 0.95
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class OptimizerConfig:
@@ -59,13 +69,9 @@ class OptimizerConfig:
     lr: float = 1e-2
     damping: float = 1e-2
     clip: float = 1e-2
-    ema_decay: float = 0.95
     t1: int = 100
     t2: int = 100
     momentum: float = 0.9
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     batch_size: int = 256
     seed: int = 0
     # relative cutoff: a second pair with sigma_2 <= svd_eps * sigma_ref is zeroed
@@ -94,7 +100,6 @@ class TrainState:
     velocity: list[np.ndarray] | None = None
     m1: list[np.ndarray] | None = None
     m2: list[np.ndarray] | None = None
-    adam_t: int = 0
     sample_rng: np.random.Generator = field(default_factory=np.random.default_rng)
 
 
@@ -179,13 +184,8 @@ def _factorizer(method: str):
     return fz.FACTORIZERS[method]
 
 
-def natural_step(
-    model: MLPModel,
-    batch: tuple[np.ndarray, np.ndarray],
-    state: TrainState,
-    config: OptimizerConfig,
-) -> StepMetrics:
-    """One preconditioned descent step; see the module docstring for the protocol."""
+def _loss_and_grads(model: MLPModel, batch, state: TrainState):
+    """Forward, mean loss and true-target backward; a non-finite loss raises."""
     x, y = batch
     acts = forward(model, x)
     loss = batch_loss(acts[-1], y, model.loss)
@@ -195,6 +195,17 @@ def natural_step(
             f"weight norms {[float(np.linalg.norm(w)) for w in model.weights]}"
         )
     grads, _ = backward(model, acts, y)
+    return acts, loss, grads
+
+
+def natural_step(
+    model: MLPModel,
+    batch: tuple[np.ndarray, np.ndarray],
+    state: TrainState,
+    config: OptimizerConfig,
+) -> StepMetrics:
+    """One preconditioned descent step; see the module docstring for the protocol."""
+    acts, loss, grads = _loss_and_grads(model, batch, state)
     k = state.iteration + 1
 
     refreshed = k == 1 or k % config.t1 == 0
@@ -206,7 +217,7 @@ def natural_step(
         sigma1, sigma2, degenerate = [], [], []
         for i, ls in enumerate(state.layer_states, start=1):
             result = factorize(stats, i, config.svd_eps)
-            update_factors(ls, result, k, config.ema_decay)
+            update_factors(ls, result, k, EMA_DECAY)
             sigma1.append(result.sigma(0))
             sigma2.append(result.sigma(1) if len(result.triplets) > 1 else float("nan"))
             degenerate.append(result.degenerate)
@@ -239,26 +250,20 @@ def first_order_step(
     state: TrainState,
     config: OptimizerConfig,
 ) -> StepMetrics:
-    x, y = batch
-    acts = forward(model, x)
-    loss = batch_loss(acts[-1], y, model.loss)
-    if not np.isfinite(loss):
-        raise RuntimeError(f"non-finite loss {loss} at iteration {state.iteration + 1}")
-    grads, _ = backward(model, acts, y)
+    _, loss, grads = _loss_and_grads(model, batch, state)
     if config.method == "sgd":
         sgd_step(model.weights, grads, state.velocity, config.lr, config.momentum)
     else:
-        state.adam_t += 1
         adam_step(
             model.weights,
             grads,
             state.m1,
             state.m2,
-            state.adam_t,
+            state.iteration + 1,
             config.lr,
-            config.beta1,
-            config.beta2,
-            config.adam_eps,
+            ADAM_BETA1,
+            ADAM_BETA2,
+            ADAM_EPS,
         )
     state.iteration += 1
     return StepMetrics(loss=loss)

@@ -88,14 +88,9 @@ def parse_csv(path) -> list[MetricRecord]:
                 if name in values
             }
             extra = {
-                name: float(val)
-                for name, val in values.items()
-                if name not in BASE_FIELDS and name != "wall_clock_seconds"
+                name: float(val) for name, val in values.items() if name not in BASE_FIELDS
             }
-            rec = MetricRecord(**base, extra=extra)
-            if "wall_clock_seconds" in values:
-                rec.wall_clock_seconds = float(values["wall_clock_seconds"])
-            records.append(rec)
+            records.append(MetricRecord(**base, extra=extra))
     return records
 
 

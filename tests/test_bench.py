@@ -219,6 +219,30 @@ class TestExperimentConfig:
             config_from_dict({"preset": "curves_desk", "leraning_rate": 0.1})
         with pytest.raises(ValueError, match="unknown optimizer keys"):
             config_from_dict({"preset": "curves_desk", "optimizer": {"lr": 0.1, "momentm": 0.9}})
+        # the EMA cap and Adam's moments are constants in `optim`, not settings
+        for key in ("ema_decay", "beta1", "beta2", "adam_eps"):
+            with pytest.raises(ValueError, match="unknown optimizer keys"):
+                config_from_dict({"preset": "curves_desk", "optimizer": {key: 0.5}})
+
+    @pytest.mark.parametrize(
+        "section,value",
+        [("optimizer", "kfac"), ("optimizer", None), ("optimizer", [1]),
+         ("probe", 3), ("probe", [1])],
+        ids=["optimizer-str", "optimizer-null", "optimizer-list", "probe-int", "probe-list"],
+    )
+    def test_non_object_sections_rejected_at_load(self, tmp_path, section, value):
+        raw = {"preset": "curves_desk", section: value}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValueError, match=f"config key '{section}' must be an object"):
+            config_from_dict(raw)
+        with pytest.raises(ValueError, match=f"'{section}'"):
+            load_config(path)
+        with pytest.raises(ValueError, match=f"'{section}'"):
+            load_config(path, {"lr": 0.1, "epochs": 2})
+
+    def test_null_probe_means_no_probing(self):
+        assert config_from_dict({"preset": "curves_desk", "probe": None}).probe is None
 
     def test_unknown_probe_method_rejected_at_load(self):
         with pytest.raises(ValueError, match="unknown probe methods"):
@@ -465,6 +489,31 @@ class TestGridSearch:
         assert statuses[1e-3] == "ok"
         assert statuses[1e200].startswith("diverged")
         assert out["best"]["eta"] == 1e-3
+
+    def test_indefinite_factor_point_is_recorded_not_fatal(self, tmp_path):
+        # lr 100 at damping 1e-4 drives kfac_corrected's dominant left
+        # factor singular within the first epochs
+        config = desk_config(
+            tmp_path,
+            epochs=5,
+            n_train=128,
+            optimizer=OptimizerConfig(
+                method="kfac_corrected", lr=1e-2, clip=0.1, batch_size=64, seed=11, t1=5, t2=5
+            ),
+        )
+        with np.errstate(all="ignore"):
+            out = grid_search(config, etas=(100.0,), lambdas=(1e-4,), clips=(0.1,))
+        (run,) = out["runs"]
+        assert run["status"].startswith("diverged: left dominant factor")
+        assert math.isnan(run["final_train_loss"])
+        assert out["best"] is None
+
+    def test_oversized_batch_still_raises(self, tmp_path):
+        config = desk_config(
+            tmp_path, optimizer=OptimizerConfig(method="kfac_corrected", batch_size=256)
+        )
+        with pytest.raises(ValueError, match="exceeds training set size"):
+            grid_search(config, etas=(1e-2,), lambdas=(1e-2,), clips=(0.1,))
 
     def test_second_order_grid_is_three_dimensional(self, tmp_path):
         config = desk_config(

@@ -73,7 +73,6 @@ class TestInit:
         rng = np.random.default_rng(0)
         model = init_mlp([5, 7, 3], ["relu", "sigmoid"], "bce", rng)
         assert [w.shape for w in model.weights] == [(7, 6), (3, 8)]
-        assert model.param_count == 7 * 6 + 3 * 8
         for w, fan_in, fan_out in zip(model.weights, [5, 7], [7, 3]):
             assert_allclose(w[:, 0], 0.0)
             bound = np.sqrt(6.0 / (fan_in + fan_out))

@@ -104,6 +104,24 @@ class TestFirstOrderSteps:
             out.append(p[0][0])
         assert out[0] == pytest.approx(out[1], rel=1e-6)
 
+    def test_adam_steps_count_from_the_iteration(self):
+        rng = np.random.default_rng(4)
+        model = tiny_model(rng)
+        batches = [tiny_batch(rng, model) for _ in range(3)]
+        config = OptimizerConfig(method="adam", lr=1e-2)
+        state = init_train_state(model, config)
+        manual = [w.copy() for w in model.weights]
+        m1 = [np.zeros_like(w) for w in manual]
+        m2 = [np.zeros_like(w) for w in manual]
+        for t, batch in enumerate(batches, start=1):
+            # model.weights equal `manual` here, so these are the gradients at `manual`
+            grads, _ = backward(model, forward(model, batch[0]), batch[1])
+            adam_step(manual, grads, m1, m2, t=t, lr=1e-2, beta1=0.9, beta2=0.999, eps=1e-8)
+            first_order_step(model, batch, state, config)
+            for w, want in zip(model.weights, manual):
+                np.testing.assert_array_equal(w, want)
+        assert state.iteration == 3
+
     def test_first_order_step_descends_on_average(self):
         rng = np.random.default_rng(1)
         model = tiny_model(rng)
@@ -212,7 +230,7 @@ class TestFailureModes:
         config = OptimizerConfig(method="sgd")
         state = init_train_state(model, config)
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(RuntimeError):
+            with pytest.raises(RuntimeError, match="non-finite loss .* weight norms"):
                 first_order_step(model, batch, state, config)
 
 
