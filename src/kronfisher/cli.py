@@ -1,7 +1,7 @@
 """Command-line entry points: train, probe-fim, gridsearch, gen-data.
 
-BLAS reads its thread count when the package first imports numpy, before
-this module runs; cap it with OPENBLAS_NUM_THREADS (or OMP_NUM_THREADS)
+Numpy, and with it BLAS, loads only when a command runs, and BLAS reads its
+thread count then; cap it with OPENBLAS_NUM_THREADS (or OMP_NUM_THREADS)
 in the shell that launches the command.
 """
 
@@ -81,13 +81,11 @@ def _cmd_probe_fim(args: argparse.Namespace) -> int:
 
 
 def _cmd_gridsearch(args: argparse.Namespace) -> int:
-    from .experiment import CLIP_GRID, ETA_GRID, LAMBDA_GRID, grid_search, load_config
+    from .experiment import grid_search, load_config
 
     config = load_config(args.config, _overrides(args))
-    etas = tuple(args.eta) if args.eta else ETA_GRID
-    lambdas = tuple(args.damping_grid) if args.damping_grid else LAMBDA_GRID
-    clips = tuple(args.clip_grid) if args.clip_grid else CLIP_GRID
-    summary = grid_search(config, etas, lambdas, clips)
+    axes = {"etas": args.eta, "lambdas": args.damping_grid, "clips": args.clip_grid}
+    summary = grid_search(config, **{k: tuple(v) for k, v in axes.items() if v})
     best = summary["best"]
     if best is None:
         print("no grid point finished; see gridsearch_summary.json")

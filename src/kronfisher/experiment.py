@@ -89,7 +89,8 @@ class ProbeSpec:
     """Approximation-error probing along the run.
 
     ``layer`` of None means the layer just past the midpoint of the
-    network (bottleneck-adjacent in the autoencoder presets).
+    network (bottleneck-adjacent in the autoencoder presets); a layer past
+    the network's last is refused by `ExperimentConfig`.
     """
 
     every: int = 1
@@ -102,6 +103,10 @@ class ProbeSpec:
             raise ValueError(
                 f"unknown probe methods {unknown}; choose from {SECOND_ORDER_METHODS}"
             )
+        if self.every < 1:
+            raise ValueError(f"probe every must be >= 1, got {self.every}")
+        if self.layer is not None and self.layer < 1:
+            raise ValueError(f"probe layer must be >= 1, got {self.layer}")
 
 
 @dataclass
@@ -145,6 +150,13 @@ class ExperimentConfig:
             raise ValueError("architecture underspecified: need layer_dims, activations, loss")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.n_train < 1 or self.n_val < 0:
+            raise ValueError(
+                f"need n_train >= 1 and n_val >= 0, got {self.n_train} and {self.n_val}"
+            )
+        n_layers = len(self.layer_dims) - 1
+        if self.probe is not None and (self.probe.layer or 0) > n_layers:
+            raise ValueError(f"probe layer {self.probe.layer} out of range 1..{n_layers}")
 
     @property
     def default_probe_layer(self) -> int:

@@ -14,7 +14,8 @@ products `zf_matvec` / `zf_rmatvec` apply its rearranged form without
 forming it either.
 
 Layer indices in the public functions are 1-based (layer 1 consumes the
-network input).
+network input).  The bce loss reads the output as Bernoulli means, so a
+bce network must end in a sigmoid layer; `MLPModel` refuses any other.
 """
 
 from __future__ import annotations
@@ -73,6 +74,10 @@ class MLPModel:
                 raise ValueError(f"unknown activation {kind!r}")
         if self.loss not in LOSSES:
             raise ValueError(f"unknown loss {self.loss!r}")
+        if self.loss == "bce" and self.activations[-1] != "sigmoid":
+            raise ValueError(
+                f"bce needs a sigmoid output layer, got {self.activations[-1]!r}"
+            )
 
     @property
     def n_layers(self) -> int:
@@ -181,15 +186,10 @@ def sample_targets(output: np.ndarray, loss: str, rng: np.random.Generator) -> n
 
 
 def _output_delta(model: MLPModel, out: np.ndarray, y: np.ndarray) -> np.ndarray:
-    kind = model.activations[-1]
-    if (model.loss == "bce" and kind == "sigmoid") or (model.loss == "mse" and kind == "linear"):
+    # bce always ends in a sigmoid, whose derivative cancels the loss's
+    if model.loss == "bce":
         return out - y
-    if model.loss == "mse":
-        da = out - y
-    else:
-        zc = np.clip(out, _LOG_EPS, 1.0 - _LOG_EPS)
-        da = (out - y) / (zc * (1.0 - zc))
-    return da * _derivative_from_activation(kind, out)
+    return (out - y) * _derivative_from_activation(model.activations[-1], out)
 
 
 def backward(

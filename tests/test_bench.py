@@ -5,6 +5,7 @@ import json
 import math
 import struct
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from kronfisher.cli import main
 from kronfisher.datasets import gen_gaussian_blobs, gen_synthetic_curves, load_idx, save_idx
 from kronfisher.experiment import (
     ARCHITECTURES,
+    CLIP_GRID,
+    LAMBDA_GRID,
     ExperimentConfig,
     ProbeSpec,
     config_from_dict,
@@ -249,6 +252,29 @@ class TestExperimentConfig:
             config_from_dict({"preset": "curves_desk", "probe": {"methods": ["kpsdv"]}})
         with pytest.raises(ValueError, match="unknown probe methods"):
             config_from_dict({"preset": "curves_desk", "probe": {"methods": ["kfac", "sgd"]}})
+
+    @pytest.mark.parametrize(
+        "probe",
+        [{"every": 0}, {"every": -2}, {"layer": 0}, {"layer": -1}],
+        ids=["every-0", "every-neg", "layer-0", "layer-neg"],
+    )
+    def test_bad_probe_settings_rejected_at_load(self, probe):
+        with pytest.raises(ValueError, match="probe (every|layer) must be >= 1"):
+            ProbeSpec(**probe)
+        with pytest.raises(ValueError, match="probe (every|layer) must be >= 1"):
+            config_from_dict({"preset": "curves_desk", "probe": probe})
+
+    def test_probe_layer_must_exist_in_the_network(self, tmp_path):
+        config = desk_config(tmp_path, probe=ProbeSpec(layer=6))
+        with pytest.raises(ValueError, match=r"probe layer 7 out of range 1\.\.6"):
+            replace(config, probe=ProbeSpec(layer=7))
+        with pytest.raises(ValueError, match="probe every must be >= 1"):
+            replace(config.probe, every=0)
+
+    @pytest.mark.parametrize("n_train,n_val", [(0, 16), (-5, 32), (128, -10)])
+    def test_dataset_sizes_rejected_at_load(self, tmp_path, n_train, n_val):
+        with pytest.raises(ValueError, match="n_train >= 1 and n_val >= 0"):
+            desk_config(tmp_path, n_train=n_train, n_val=n_val)
 
     def test_schema_version_checked(self):
         with pytest.raises(ValueError, match="schema"):
@@ -584,6 +610,29 @@ class TestCli:
         payload = json.loads(out[: out.rindex("}") + 1])
         assert any(k.startswith("err_frob_") for k in payload)
         assert "iteration" in payload
+
+    @pytest.mark.parametrize("flag,value", [("--every", "0"), ("--layer", "7")])
+    def test_probe_subcommand_refuses_bad_probe_before_training(self, tmp_path, flag, value):
+        out = tmp_path / "probe_run"
+        config = str(self.write_config(tmp_path))
+        with pytest.raises(ValueError, match="probe"):
+            main(["probe-fim", "--config", config, flag, value, "--out", str(out)])
+        assert not out.exists()
+
+    def test_gridsearch_subcommand_defaults_the_axes_not_given(self, tmp_path):
+        rc = main(
+            [
+                "gridsearch",
+                "--config", str(self.write_config(tmp_path)),
+                "--method", "kfac",
+                "--eta", "0.01",
+                "--out", str(tmp_path / "grid"),
+            ]
+        )
+        assert rc == 0
+        summary = json.loads((tmp_path / "grid" / "gridsearch_summary.json").read_text())
+        points = [(r["damping"], r["clip"]) for r in summary["runs"]]
+        assert points == [(lam, clip) for lam in LAMBDA_GRID for clip in CLIP_GRID]
 
     def test_gridsearch_subcommand(self, tmp_path, capsys):
         rc = main(

@@ -89,6 +89,9 @@ class TestInit:
             init_mlp([4, 3], ["tanh"], "bce", rng)
         with pytest.raises(ValueError):
             init_mlp([4, 3], ["relu"], "hinge", rng)
+        for out_act in ("linear", "relu"):
+            with pytest.raises(ValueError, match="bce needs a sigmoid output"):
+                init_mlp([4, 3, 4], ["relu", out_act], "bce", rng)
 
 
 class TestForward:
@@ -123,15 +126,17 @@ class TestBackward:
             assert_allclose(g, fd, rtol=1e-5, atol=1e-8)
 
     def test_unfused_output_combo(self):
-        """A sigmoid output trained with squared error exercises the
-        general chain rule rather than the fused shortcut."""
-        rng = np.random.default_rng(18)
-        model = init_mlp([3, 4, 2], ["relu", "sigmoid"], "mse", rng)
-        x = rng.standard_normal((5, 3))
-        y = rng.uniform(0.1, 0.9, size=(5, 2))
-        grads, _ = backward(model, forward(model, x), y)
-        for g, fd in zip(grads, fd_gradients(model, x, y)):
-            assert_allclose(g, fd, rtol=1e-5, atol=1e-8)
+        """Squared error through a sigmoid or relu output multiplies in the
+        activation's derivative; only bce's sigmoid derivative cancels."""
+        for out_act in ("sigmoid", "relu"):
+            rng = np.random.default_rng(18)
+            model = init_mlp([3, 4, 2], ["relu", out_act], "mse", rng)
+            model.weights[-1][0, 0] = -0.5  # output unit 0 is dead on some samples
+            x = rng.standard_normal((5, 3))
+            y = rng.uniform(0.1, 0.9, size=(5, 2))
+            grads, _ = backward(model, forward(model, x), y)
+            for g, fd in zip(grads, fd_gradients(model, x, y)):
+                assert_allclose(g, fd, rtol=1e-5, atol=1e-8)
 
     def test_stats_shapes_and_bias_row(self):
         rng = np.random.default_rng(2)
