@@ -13,7 +13,8 @@ import logging
 import sys
 
 
-def _add_override_args(p: argparse.ArgumentParser) -> None:
+def _add_config_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", required=True, help="JSON experiment config")
     p.add_argument("--method", help="optimizer method override")
     p.add_argument("--lr", type=float, help="learning rate override")
     p.add_argument("--damping", type=float, help="damping override")
@@ -21,12 +22,7 @@ def _add_override_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, help="seed override")
     p.add_argument("--epochs", type=int, help="epoch count override")
     p.add_argument("--out", help="output directory override")
-    p.add_argument(
-        "--synthetic",
-        action="store_true",
-        default=None,
-        help="use generated stand-in data for non-redistributable corpora",
-    )
+    p.set_defaults(usage_error=p.error)
 
 
 def _overrides(args: argparse.Namespace) -> dict:
@@ -38,15 +34,35 @@ def _overrides(args: argparse.Namespace) -> dict:
         "seed": args.seed,
         "epochs": args.epochs,
         "out_dir": args.out,
-        "synthetic": args.synthetic,
     }
     return {k: v for k, v in out.items() if v is not None}
 
 
-def _cmd_train(args: argparse.Namespace) -> int:
-    from .experiment import load_config, run_experiment
+def _load_config(args: argparse.Namespace):
+    """The config file under the command line's overrides; a config that
+    cannot be read or is refused is a usage error (one `error:` line, exit 2)."""
+    from dataclasses import replace
 
-    config = load_config(args.config, _overrides(args))
+    from .experiment import ProbeSpec, load_config
+
+    try:
+        config = load_config(args.config, _overrides(args))
+        if args.command != "probe-fim":
+            return config
+        probe = config.probe or ProbeSpec()
+        if args.layer is not None:
+            probe = replace(probe, layer=args.layer)
+        if args.every is not None:
+            probe = replace(probe, every=args.every)
+        return replace(config, probe=probe)
+    except (OSError, ValueError) as exc:
+        args.usage_error(str(exc))
+
+
+def _cmd_train(args: argparse.Namespace) -> int:
+    from .experiment import run_experiment
+
+    config = _load_config(args)
     result = run_experiment(config)
     print(
         f"{config.optimizer.method}: final train loss "
@@ -57,17 +73,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_probe_fim(args: argparse.Namespace) -> int:
-    from dataclasses import replace
+    from .experiment import run_experiment
 
-    from .experiment import ProbeSpec, load_config, run_experiment
-
-    config = load_config(args.config, _overrides(args))
-    probe = config.probe or ProbeSpec()
-    if args.layer is not None:
-        probe = replace(probe, layer=args.layer)
-    if args.every is not None:
-        probe = replace(probe, every=args.every)
-    config = replace(config, probe=probe)
+    config = _load_config(args)
     result = run_experiment(config)
     probed = {}
     for rec in reversed(result.records):
@@ -81,9 +89,9 @@ def _cmd_probe_fim(args: argparse.Namespace) -> int:
 
 
 def _cmd_gridsearch(args: argparse.Namespace) -> int:
-    from .experiment import grid_search, load_config
+    from .experiment import grid_search
 
-    config = load_config(args.config, _overrides(args))
+    config = _load_config(args)
     axes = {"etas": args.eta, "lambdas": args.damping_grid, "clips": args.clip_grid}
     summary = grid_search(config, **{k: tuple(v) for k, v in axes.items() if v})
     best = summary["best"]
@@ -119,25 +127,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="run one training experiment from a config")
-    p_train.add_argument("--config", required=True, help="JSON experiment config")
-    _add_override_args(p_train)
+    _add_config_args(p_train)
     p_train.set_defaults(func=_cmd_train)
 
     p_probe = sub.add_parser(
         "probe-fim", help="train while probing Fisher approximation errors at one layer"
     )
-    p_probe.add_argument("--config", required=True)
+    _add_config_args(p_probe)
     p_probe.add_argument("--layer", type=int, help="1-based layer to probe")
     p_probe.add_argument("--every", type=int, help="probe period in iterations")
-    _add_override_args(p_probe)
     p_probe.set_defaults(func=_cmd_probe_fim)
 
     p_grid = sub.add_parser("gridsearch", help="sweep lr/damping/clip for one method")
-    p_grid.add_argument("--config", required=True)
+    _add_config_args(p_grid)
     p_grid.add_argument("--eta", type=float, nargs="+", help="learning-rate grid")
     p_grid.add_argument("--damping-grid", type=float, nargs="+", help="damping grid")
     p_grid.add_argument("--clip-grid", type=float, nargs="+", help="trust-region grid")
-    _add_override_args(p_grid)
     p_grid.set_defaults(func=_cmd_gridsearch)
 
     p_gen = sub.add_parser("gen-data", help="write a synthetic dataset as an IDX file")

@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import gen_gaussian_blobs, gen_synthetic_curves, load_idx
-from .linalg import NotPositiveDefiniteError
 from .mlp import init_mlp, batch_loss, forward
 from .optim import (
     OptimizerConfig,
@@ -81,7 +80,7 @@ ARCHITECTURES: dict[str, dict] = {
     },
 }
 
-_DATASETS = ("synthetic_curves", "mnist", "faces_config_only")
+_DATASETS = ("synthetic_curves", "mnist", "synthetic_faces")
 
 
 @dataclass
@@ -122,7 +121,6 @@ class ExperimentConfig:
     side: int = 8
     data_path: str = ""
     val_path: str = ""
-    synthetic: bool = False
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     probe: ProbeSpec | None = None
     out_dir: str = "runs/out"
@@ -218,27 +216,28 @@ def build_dataset(config: ExperimentConfig, rng: np.random.Generator) -> tuple[n
     if config.dataset == "synthetic_curves":
         seed = int(rng.integers(2 ** 31))
         data = gen_synthetic_curves(config.n_train + config.n_val, seed, side=config.side)
-    elif config.dataset == "faces_config_only":
-        if not config.synthetic:
-            raise ValueError(
-                "the faces corpus is not redistributable; pass synthetic=true "
-                "(--synthetic) to train on generated stand-in images"
-            )
+    elif config.dataset == "synthetic_faces":
         seed = int(rng.integers(2 ** 31))
         side = int(round(np.sqrt(width)))
         data = gen_gaussian_blobs(config.n_train + config.n_val, seed, side=side)
     else:
         if not config.data_path:
             raise ValueError("mnist dataset requires data_path pointing at an IDX image file")
-        data = load_idx(config.data_path)
         if config.val_path:
-            val = load_idx(config.val_path)
-            data = data[: config.n_train]
-            return data, val[: config.n_val]
-        data = data[: config.n_train + config.n_val]
+            train = _idx_rows(config.data_path, config.n_train, "n_train")
+            return train, _idx_rows(config.val_path, config.n_val, "n_val")
+        data = _idx_rows(config.data_path, config.n_train + config.n_val, "n_train + n_val")
     if data.shape[1] != width:
         raise ValueError(f"dataset width {data.shape[1]} != network input width {width}")
     return data[: config.n_train], data[config.n_train : config.n_train + config.n_val]
+
+
+def _idx_rows(path: str, n: int, request: str) -> np.ndarray:
+    """The first n rows of an IDX image file; a shorter file is refused."""
+    data = load_idx(path)
+    if len(data) < n:
+        raise ValueError(f"{path}: IDX file holds {len(data)} rows, {request} asks for {n}")
+    return data[:n]
 
 
 def run_experiment(config: ExperimentConfig, write_artifacts: bool = True) -> RunResult:
@@ -354,8 +353,9 @@ def grid_search(
     """Sweep learning rate (and damping/clip for second-order methods).
 
     Returns a summary dict with one entry per setting and the best one by
-    final training loss.  A run whose loss goes non-finite or whose damped
-    factors lose definiteness is recorded as diverged, not fatal.
+    final training loss.  A run whose loss goes non-finite, or whose damped
+    factors lose definiteness or turn singular (`np.linalg.LinAlgError`),
+    is recorded as diverged, not fatal.
     """
     second_order = config.optimizer.method in SECOND_ORDER_METHODS
     if not second_order:
@@ -376,7 +376,7 @@ def grid_search(
                     entry["final_train_loss"] = result.summary["final_train_loss"]
                     entry["epoch_train_loss"] = result.summary["epoch_train_loss"]
                     entry["status"] = "ok"
-                except (RuntimeError, FloatingPointError, NotPositiveDefiniteError) as exc:
+                except (RuntimeError, FloatingPointError, np.linalg.LinAlgError) as exc:
                     logger.warning("grid point %s diverged: %s", tag, exc)
                     entry["final_train_loss"] = float("nan")
                     entry["status"] = f"diverged: {exc}"

@@ -27,7 +27,7 @@ __all__ = [
 EIG_CLAMP_REL = 1e-12
 
 
-class NotPositiveDefiniteError(ValueError):
+class NotPositiveDefiniteError(np.linalg.LinAlgError):
     """A routine required a positive-definite matrix and did not get one."""
 
     def __init__(self, smallest_eigenvalue: float, context: str = ""):

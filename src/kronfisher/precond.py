@@ -11,8 +11,8 @@ and later refreshes must bring the same number.  One pair is inverted
 factor by factor (`Rank1Cache`).  Two pairs solve (A kron B + C kron D) x = vec(V) through
 the congruence diagonalization of C against A and D against B
 (`Rank2Cache`), which costs only matrix-size work, never Kronecker-size
-work.  A cache holds only what `precondition_layer` applies; a rebuild
-replaces it whole.
+work, and raises `np.linalg.LinAlgError` on a singular sum.  A cache
+holds only what `precondition_layer` applies; a rebuild replaces it whole.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .factorizations import FactorResult, KronPair
-from .linalg import NotPositiveDefiniteError, inv_sqrt, sym_eig
+from .linalg import EIG_CLAMP_REL, inv_sqrt, sym_eig
 
 __all__ = [
     "Rank1Cache",
@@ -43,9 +43,6 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-DENOM_DELTA = 1e-8
-FALLBACK_FRACTION = 0.01
-
 
 @dataclass
 class Rank1Cache:
@@ -60,14 +57,15 @@ class Rank2Cache:
     """Congruence factors for the two-term Kronecker sum solve.
 
     k1/k2 are the left/right congruence transforms, denom the
-    safeguarded elementwise denominator 1 + outer(s2, s1) of the two
-    congruence spectra.
+    elementwise denominator 1 + outer(s2, s1) of the two congruence
+    spectra, none of them numerically zero.
     """
 
     k1: np.ndarray
     k2: np.ndarray
     denom: np.ndarray
-    safeguarded_fraction: float
+    # always 0.0: the solve is exact or raises; benchmarks/tracing.py reads it
+    safeguarded_fraction = 0.0
 
 
 @dataclass
@@ -76,7 +74,6 @@ class KronApprox:
 
     pairs: tuple[KronPair, ...] | None = None
     cache: Rank1Cache | Rank2Cache | None = None
-    fallback_events: int = 0
 
     # read-only label of the pair count; benchmarks/tracing.py reads it
     # after every rebuild
@@ -133,12 +130,12 @@ def kron_sum_prepare(
     c: np.ndarray,
     d: np.ndarray,
 ) -> Rank2Cache:
-    """Factor (a kron b + c kron d) for repeated solves.
+    """Factor (a kron b + c kron d) exactly for repeated solves.
 
     a and b must be positive definite (the damped dominant pair); c and d
-    only symmetric.  Denominator entries closer to zero than DENOM_DELTA
-    are pushed to sign(x)*DENOM_DELTA and the safeguarded fraction is
-    recorded so callers can fall back when the sum is effectively singular.
+    only symmetric, so the sum may be indefinite.  It is singular to
+    working precision, and `np.linalg.LinAlgError` is raised, when a
+    denominator 1 + x, x = s2_i*s1_j, has |1 + x| <= EIG_CLAMP_REL * (1 + |x|).
     """
     a_isqrt = inv_sqrt(a, context="left dominant factor")
     b_isqrt = inv_sqrt(b, context="right dominant factor")
@@ -146,12 +143,15 @@ def kron_sum_prepare(
     s2, e2 = sym_eig(b_isqrt @ d @ b_isqrt)
     k1 = a_isqrt @ e1
     k2 = b_isqrt @ e2
-    denom = 1.0 + np.outer(s2, s1)
-    small = np.abs(denom) < DENOM_DELTA
-    if np.any(small):
-        signs = np.where(denom[small] >= 0.0, 1.0, -1.0)
-        denom[small] = signs * DENOM_DELTA
-    return Rank2Cache(k1, k2, denom, float(np.mean(small)))
+    prod = np.outer(s2, s1)
+    denom = 1.0 + prod
+    unresolved = np.abs(denom) <= EIG_CLAMP_REL * (1.0 + np.abs(prod))
+    if np.any(unresolved):
+        raise np.linalg.LinAlgError(
+            f"two-term Kronecker sum is singular: {np.count_nonzero(unresolved)} of "
+            f"{denom.size} denominators vanish, smallest |1 + s2*s1| {np.min(np.abs(denom)):.3e}"
+        )
+    return Rank2Cache(k1, k2, denom)
 
 
 def kron_sum_apply(cache: Rank2Cache, v: np.ndarray) -> np.ndarray:
@@ -201,24 +201,16 @@ def update_factors(state: KronApprox, result: FactorResult, k: int, alpha: float
 def rebuild_cache(state: KronApprox, damping: float) -> None:
     """Damp the dominant averaged pair and rebuild the inverse cache.
 
-    A state holding two pairs gets the congruence cache; if its
-    safeguarded denominator fraction exceeds the fallback threshold it
-    drops to the rank-one inverse for this refresh and logs the event.
+    One pair gets the rank-one cache, two pairs the congruence cache; a
+    singular two-term sum raises and leaves the previous cache in place.
     """
     if state.pairs is None:
         raise ValueError("no factors accumulated yet")
     a_d, g_d = damp_pair(state.pairs[0].left, state.pairs[0].right, damping)
     if len(state.pairs) == 2:
-        cache = kron_sum_prepare(a_d, g_d, state.pairs[1].left, state.pairs[1].right)
-        if cache.safeguarded_fraction <= FALLBACK_FRACTION:
-            state.cache = cache
-            return
-        state.fallback_events += 1
-        logger.warning(
-            "two-term solve ill-posed (%.1f%% safeguarded); falling back to rank-1 inverse",
-            100.0 * cache.safeguarded_fraction,
-        )
-    state.cache = Rank1Cache(np.linalg.inv(a_d), np.linalg.inv(g_d))
+        state.cache = kron_sum_prepare(a_d, g_d, state.pairs[1].left, state.pairs[1].right)
+    else:
+        state.cache = Rank1Cache(np.linalg.inv(a_d), np.linalg.inv(g_d))
 
 
 def precondition_layer(state: KronApprox, grad_w: np.ndarray) -> np.ndarray:

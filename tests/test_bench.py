@@ -307,23 +307,18 @@ class TestBuildDataset:
         assert train.shape == (64, 64)
         assert val.shape == (16, 64)
 
-    def test_faces_requires_synthetic_flag(self, tmp_path):
+    def test_synthetic_faces_split(self, tmp_path):
         config = ExperimentConfig(
-            preset="faces", dataset="faces_config_only", out_dir=str(tmp_path)
-        )
-        with pytest.raises(ValueError, match="not redistributable"):
-            build_dataset(config, np.random.default_rng(0))
-        config = ExperimentConfig(
-            preset="faces",
-            dataset="faces_config_only",
-            synthetic=True,
-            n_train=8,
-            n_val=4,
-            out_dir=str(tmp_path),
+            preset="faces", dataset="synthetic_faces", n_train=8, n_val=4, out_dir=str(tmp_path)
         )
         train, val = build_dataset(config, np.random.default_rng(0))
         assert train.shape == (8, 625)
         assert val.shape == (4, 625)
+        # the old dataset name and its one-valued flag are refused at load
+        with pytest.raises(ValueError, match="unknown dataset 'faces_config_only'"):
+            config_from_dict({"preset": "faces", "dataset": "faces_config_only"})
+        with pytest.raises(ValueError, match=r"unknown config keys: \['synthetic'\]"):
+            config_from_dict({"preset": "faces", "dataset": "synthetic_faces", "synthetic": True})
 
     def test_idx_dataset_with_separate_validation_file(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -344,6 +339,40 @@ class TestBuildDataset:
         train, val = build_dataset(config, np.random.default_rng(0))
         assert train.shape == (10, 16)
         assert val.shape == (5, 16)
+
+    @pytest.mark.parametrize(
+        "n_train,n_val,val_rows,message",
+        [
+            (120, 16, None, r"data\.idx: IDX file holds 100 rows, n_train \+ n_val asks for 136"),
+            (100, 1, None, r"data\.idx: IDX file holds 100 rows, n_train \+ n_val asks for 101"),
+            (120, 16, 32, r"data\.idx: IDX file holds 100 rows, n_train asks for 120"),
+            (64, 64, 10, r"val\.idx: IDX file holds 10 rows, n_val asks for 64"),
+        ],
+        ids=["one-file-train", "one-file-val", "two-files-train", "two-files-val"],
+    )
+    def test_short_idx_file_refused(self, tmp_path, n_train, n_val, val_rows, message):
+        """A file with fewer rows than the config asks for is refused,
+        not silently truncated to a smaller or empty split."""
+        rng = np.random.default_rng(1)
+        save_idx(tmp_path / "data.idx", rng.random((100, 4, 4)))
+        val_path = ""
+        if val_rows is not None:
+            val_path = str(tmp_path / "val.idx")
+            save_idx(val_path, rng.random((val_rows, 4, 4)))
+        config = ExperimentConfig(
+            preset="",
+            dataset="mnist",
+            layer_dims=[16, 8, 16],
+            activations=["relu", "sigmoid"],
+            loss="bce",
+            n_train=n_train,
+            n_val=n_val,
+            data_path=str(tmp_path / "data.idx"),
+            val_path=val_path,
+            out_dir=str(tmp_path),
+        )
+        with pytest.raises(ValueError, match=message):
+            build_dataset(config, np.random.default_rng(0))
 
     def test_label_file_rejected(self, tmp_path):
         """A label-layout file (magic 0x801) is refused by name, not
@@ -534,6 +563,24 @@ class TestGridSearch:
         assert math.isnan(run["final_train_loss"])
         assert out["best"] is None
 
+    def test_singular_two_term_point_is_recorded_not_fatal(self, tmp_path, monkeypatch):
+        from kronfisher import precond
+
+        def singular(*args):
+            raise np.linalg.LinAlgError("two-term Kronecker sum is singular")
+
+        config = desk_config(
+            tmp_path,
+            epochs=1,
+            optimizer=OptimizerConfig(method="kfac_corrected", lr=1e-2, batch_size=32),
+        )
+        monkeypatch.setattr(precond, "kron_sum_prepare", singular)
+        out = grid_search(config, etas=(1e-2,), lambdas=(1e-2,), clips=(0.1,))
+        (run,) = out["runs"]
+        assert run["status"] == "diverged: two-term Kronecker sum is singular"
+        assert math.isnan(run["final_train_loss"])
+        assert out["best"] is None
+
     def test_oversized_batch_still_raises(self, tmp_path):
         config = desk_config(
             tmp_path, optimizer=OptimizerConfig(method="kfac_corrected", batch_size=256)
@@ -612,12 +659,43 @@ class TestCli:
         assert "iteration" in payload
 
     @pytest.mark.parametrize("flag,value", [("--every", "0"), ("--layer", "7")])
-    def test_probe_subcommand_refuses_bad_probe_before_training(self, tmp_path, flag, value):
+    def test_probe_subcommand_refuses_bad_probe_before_training(
+        self, tmp_path, capsys, flag, value
+    ):
         out = tmp_path / "probe_run"
         config = str(self.write_config(tmp_path))
-        with pytest.raises(ValueError, match="probe"):
+        with pytest.raises(SystemExit) as exc:
             main(["probe-fim", "--config", config, flag, value, "--out", str(out)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith(
+            "kronfisher probe-fim: error: probe"
+        )
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,flags,message",
+        [
+            ("train", ["--lr", "-1"], "lr must be > 0"),
+            ("train", ["--method", "nope"], "unknown method 'nope'"),
+            ("gridsearch", ["--method", "nope"], "unknown method 'nope'"),
+            ("train", [], "Expecting"),
+            ("probe-fim", ["--config", "missing.json"], "No such file"),
+        ],
+        ids=["train-lr", "train-method", "gridsearch-method", "malformed-json", "missing-file"],
+    )
+    def test_config_errors_are_usage_errors(self, tmp_path, capsys, command, flags, message):
+        """A config that cannot be read or is refused prints one error line
+        and exits 2, before any run starts."""
+        config = self.write_config(tmp_path)
+        if not flags:
+            config.write_text(config.read_text()[:-1])
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(config), *flags])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith(f"kronfisher {command}: error: ")
+        assert message in err[-1]
+        assert not (tmp_path / "run").exists()
 
     def test_gridsearch_subcommand_defaults_the_axes_not_given(self, tmp_path):
         rc = main(

@@ -84,7 +84,8 @@ def test_two_term_rebuild_spans_carry_safeguarded_info():
     assert len(rebuild) == STEPS * n_layers
     for s in rebuild:
         assert s[tracing.LAYER] in range(1, n_layers + 1)
-        assert set(s[tracing.INFO]) == {"safeguarded"}
+        # the two-term solve is exact or raises, so nothing is ever safeguarded
+        assert s[tracing.INFO] == {"safeguarded": 0.0}
     spans, n_layers = traced_steps("kfac")
     assert [s[tracing.INFO] for s in named(spans, "precond.rebuild_cache")] == [None] * (
         STEPS * n_layers

@@ -1,6 +1,8 @@
 """The package's public names: each module's ``__all__`` is their one
-declaration, and the package itself re-exports nothing."""
+declaration, and the package itself re-exports nothing.  Every name a
+module imports from a sibling is used there or re-exported."""
 
+import ast
 import importlib
 import pkgutil
 import subprocess
@@ -14,6 +16,10 @@ import kronfisher
 
 # every module but the command line, which exports nothing
 MODULES = sorted(m.name for m in pkgutil.iter_modules(kronfisher.__path__) if m.name != "cli")
+
+# benchmarks/tracing.py wraps these two in the factorizations namespace,
+# so they stay imported there although nothing in it calls them
+UNUSED_IMPORTS_ALLOWED = {("factorizations", "zf_matvec"), ("factorizations", "zf_rmatvec")}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -39,3 +45,19 @@ def test_cli_import_leaves_numpy_unloaded():
         check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_sibling_imports_are_used_or_exported():
+    unused = []
+    for path in sorted(Path(kronfisher.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        module = importlib.import_module(f"kronfisher.{path.stem}")
+        kept = used | set(getattr(module, "__all__", ()))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                for alias in node.names:
+                    name = alias.asname or alias.name
+                    if name not in kept and (path.stem, name) not in UNUSED_IMPORTS_ALLOWED:
+                        unused.append(f"{path.stem}: {name}")
+    assert unused == []

@@ -155,14 +155,26 @@ class TestKronSumSolve:
             kron_sum_apply(cache, w), apply_rank1_inverse(a, b, w), rtol=1e-9, atol=1e-11
         )
 
-    def test_cancellation_is_safeguarded(self):
+    def test_exact_cancellation_raises(self):
         rng = np.random.default_rng(4)
         a = rand_spd(rng, 3)
         b = rand_spd(rng, 2)
-        # c kron d exactly cancels a kron b, so every denominator is zero
-        cache = kron_sum_prepare(a, b, -a, b)
-        assert cache.safeguarded_fraction == pytest.approx(1.0)
-        assert np.all(np.abs(cache.denom) >= 1e-8)
+        # c kron d exactly cancels a kron b, so every denominator is rounding
+        # noise of size 1e-16, and no ratio between them reveals it
+        with pytest.raises(np.linalg.LinAlgError, match="6 of 6 denominators vanish"):
+            kron_sum_prepare(a, b, -a, b)
+
+    def test_one_cancelling_entry_raises(self):
+        """One zero denominator among 110 makes the sum singular, as the
+        dense solve reports; no share of resolved entries excuses it."""
+        c = np.diag([-1.0] + [0.0] * 9)
+        d = np.diag([1.0] + [0.0] * 10)
+        dense = kron(np.eye(10), np.eye(11)) + kron(c, d)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(dense, np.ones(110))
+        smallest = r"1 of 110 denominators vanish, smallest \|1 \+ s2\*s1\| 0\.000e\+00"
+        with pytest.raises(np.linalg.LinAlgError, match=smallest):
+            kron_sum_prepare(np.eye(10), np.eye(11), c, d)
 
     def test_non_positive_dominant_factor_raises(self):
         rng = np.random.default_rng(5)
@@ -333,21 +345,23 @@ class TestStateMachine:
         want = np.linalg.solve(kron(a_d, g_d) + kron(c, d), vec(w))
         assert_allclose(vec(precondition_layer(state, w)), want, rtol=1e-8)
 
-    def test_ill_posed_rank2_falls_back_and_logs(self, caplog):
+    def test_singular_rank2_raises_and_keeps_the_previous_cache(self):
         rng = np.random.default_rng(9)
         a = rand_spd(rng, 3)
         g = rand_spd(rng, 2)
         a_d, g_d = damp_pair(a, g, 1e-3)
         state = KronApprox()
-        # corrector engineered to cancel the damped dominant product
         update_factors(
-            state, make_result([KronPair(a, g), KronPair(-a_d, g_d)]), 1, 0.95
+            state, make_result([KronPair(a, g), KronPair(rand_sym(rng, 3, 0.2), g)]), 1, 0.95
         )
-        with caplog.at_level(logging.WARNING, logger="kronfisher.precond"):
+        rebuild_cache(state, damping=1e-3)
+        old_cache = state.cache
+        assert isinstance(old_cache, Rank2Cache)
+        # corrector engineered to cancel the damped dominant product
+        state.pairs = (state.pairs[0], KronPair(-a_d, g_d))
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
             rebuild_cache(state, damping=1e-3)
-        assert isinstance(state.cache, Rank1Cache)
-        assert state.fallback_events == 1
-        assert any("falling back" in r.message for r in caplog.records)
+        assert state.cache is old_cache
 
     def test_stale_cache_survives_factor_updates(self):
         rng = np.random.default_rng(10)
