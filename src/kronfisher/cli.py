@@ -1,5 +1,9 @@
 """Command-line entry points: train, probe-fim, gridsearch, gen-data.
 
+A command reads its config file, which must be valid on its own; each
+flag then replaces one value with `dataclasses.replace`, which checks the
+edited config again.
+
 Numpy, and with it BLAS, loads only when a command runs, and BLAS reads its
 thread count then; cap it with OPENBLAS_NUM_THREADS (or OMP_NUM_THREADS)
 in the shell that launches the command.
@@ -25,36 +29,28 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
     p.set_defaults(usage_error=p.error)
 
 
-def _overrides(args: argparse.Namespace) -> dict:
-    out = {
-        "method": args.method,
-        "lr": args.lr,
-        "damping": args.damping,
-        "clip": args.clip,
-        "seed": args.seed,
-        "epochs": args.epochs,
-        "out_dir": args.out,
-    }
-    return {k: v for k, v in out.items() if v is not None}
-
-
 def _load_config(args: argparse.Namespace):
-    """The config file under the command line's overrides; a config that
-    cannot be read or is refused is a usage error (one `error:` line, exit 2)."""
+    """The config file, then each flag given as a `dataclasses.replace` edit
+    of its section.  A config that cannot be read, or that is refused as
+    loaded or as edited, is a usage error (one `error:` line, exit 2)."""
     from dataclasses import replace
 
     from .experiment import ProbeSpec, load_config
 
+    def edit(obj, **flags):
+        return replace(obj, **{k: v for k, v in flags.items() if v is not None})
+
     try:
-        config = load_config(args.config, _overrides(args))
-        if args.command != "probe-fim":
-            return config
-        probe = config.probe or ProbeSpec()
-        if args.layer is not None:
-            probe = replace(probe, layer=args.layer)
-        if args.every is not None:
-            probe = replace(probe, every=args.every)
-        return replace(config, probe=probe)
+        config = load_config(args.config)
+        optimizer = edit(
+            config.optimizer,
+            method=args.method, lr=args.lr, damping=args.damping, clip=args.clip, seed=args.seed,
+        )
+        config = edit(config, optimizer=optimizer, epochs=args.epochs, out_dir=args.out)
+        if args.command == "probe-fim":
+            probe = edit(config.probe or ProbeSpec(), layer=args.layer, every=args.every)
+            config = replace(config, probe=probe)
+        return config
     except (OSError, ValueError) as exc:
         args.usage_error(str(exc))
 
@@ -123,7 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="kronfisher",
         description="Kronecker-factored Fisher approximations: train, probe, sweep",
     )
-    parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="run one training experiment from a config")
@@ -157,10 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     return args.func(args)
 
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import gen_gaussian_blobs, gen_synthetic_curves, load_idx
-from .mlp import init_mlp, batch_loss, forward
+from .mlp import MAX_DENSE_BLOCK, init_mlp, batch_loss, forward
 from .optim import (
     OptimizerConfig,
     SECOND_ORDER_METHODS,
@@ -87,9 +87,11 @@ _DATASETS = ("synthetic_curves", "mnist", "synthetic_faces")
 class ProbeSpec:
     """Approximation-error probing along the run.
 
-    ``layer`` of None means the layer just past the midpoint of the
-    network (bottleneck-adjacent in the autoencoder presets); a layer past
-    the network's last is refused by `ExperimentConfig`.
+    `ExperimentConfig` settles ``layer`` at load: None becomes the layer
+    just past the midpoint of the network (bottleneck-adjacent in the
+    autoencoder presets), and a layer past the network's last, or one
+    whose dense Fisher block is larger than `mlp.MAX_DENSE_BLOCK`, is
+    refused.
     """
 
     every: int = 1
@@ -153,12 +155,18 @@ class ExperimentConfig:
                 f"need n_train >= 1 and n_val >= 0, got {self.n_train} and {self.n_val}"
             )
         n_layers = len(self.layer_dims) - 1
-        if self.probe is not None and (self.probe.layer or 0) > n_layers:
-            raise ValueError(f"probe layer {self.probe.layer} out of range 1..{n_layers}")
-
-    @property
-    def default_probe_layer(self) -> int:
-        return len(self.layer_dims) // 2 + 1
+        if self.probe is not None:
+            if self.probe.layer is None:
+                self.probe = replace(self.probe, layer=len(self.layer_dims) // 2 + 1)
+            layer = self.probe.layer
+            if layer > n_layers:
+                raise ValueError(f"probe layer {layer} out of range 1..{n_layers}")
+            dim = (self.layer_dims[layer - 1] + 1) * self.layer_dims[layer]
+            if dim > MAX_DENSE_BLOCK:
+                raise ValueError(
+                    f"probe layer {layer}: block dimension {dim} exceeds dense limit "
+                    f"{MAX_DENSE_BLOCK}"
+                )
 
 
 @dataclass
@@ -194,42 +202,41 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     return ExperimentConfig(**raw)
 
 
-def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
-    """Parse a JSON config file, then apply flat CLI overrides on top."""
-    raw = json.loads(Path(path).read_text())
-    if overrides:
-        opt_fields = set(OptimizerConfig.__dataclass_fields__)
-        for key, value in overrides.items():
-            if value is None:
-                continue
-            if key in opt_fields:
-                raw.setdefault("optimizer", {})
-                _section(raw, "optimizer")[key] = value
-            else:
-                raw[key] = value
-    return config_from_dict(raw)
+def load_config(path) -> ExperimentConfig:
+    """Parse a JSON config file; edit the result with `dataclasses.replace`,
+    which re-runs every load-time check."""
+    return config_from_dict(json.loads(Path(path).read_text()))
 
 
 def build_dataset(config: ExperimentConfig, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Return (train, val) input matrices for the configured dataset."""
+    """Return (train, val) input matrices for the configured dataset; each
+    source, a generator or a file, must be as wide as the network input."""
     width = config.layer_dims[0]
-    if config.dataset == "synthetic_curves":
+    n_train, n_val = config.n_train, config.n_val
+    if config.dataset != "mnist":
         seed = int(rng.integers(2 ** 31))
-        data = gen_synthetic_curves(config.n_train + config.n_val, seed, side=config.side)
-    elif config.dataset == "synthetic_faces":
-        seed = int(rng.integers(2 ** 31))
-        side = int(round(np.sqrt(width)))
-        data = gen_gaussian_blobs(config.n_train + config.n_val, seed, side=side)
+        if config.dataset == "synthetic_curves":
+            data = gen_synthetic_curves(n_train + n_val, seed, side=config.side)
+        else:
+            data = gen_gaussian_blobs(n_train + n_val, seed, side=int(round(np.sqrt(width))))
+        parts = [(config.dataset, data[:n_train]), (config.dataset, data[n_train:])]
+    elif not config.data_path:
+        raise ValueError("mnist dataset requires data_path pointing at an IDX image file")
+    elif config.val_path:
+        parts = [
+            (config.data_path, _idx_rows(config.data_path, n_train, "n_train")),
+            (config.val_path, _idx_rows(config.val_path, n_val, "n_val")),
+        ]
     else:
-        if not config.data_path:
-            raise ValueError("mnist dataset requires data_path pointing at an IDX image file")
-        if config.val_path:
-            train = _idx_rows(config.data_path, config.n_train, "n_train")
-            return train, _idx_rows(config.val_path, config.n_val, "n_val")
-        data = _idx_rows(config.data_path, config.n_train + config.n_val, "n_train + n_val")
-    if data.shape[1] != width:
-        raise ValueError(f"dataset width {data.shape[1]} != network input width {width}")
-    return data[: config.n_train], data[config.n_train : config.n_train + config.n_val]
+        data = _idx_rows(config.data_path, n_train + n_val, "n_train + n_val")
+        parts = [(config.data_path, data[:n_train]), (config.data_path, data[n_train:])]
+    for source, part in parts:
+        if part.shape[1] != width:
+            raise ValueError(
+                f"{source}: dataset width {part.shape[1]} != network input width {width}"
+            )
+    (_, train), (_, val) = parts
+    return train, val
 
 
 def _idx_rows(path: str, n: int, request: str) -> np.ndarray:
@@ -262,20 +269,14 @@ def run_experiment(config: ExperimentConfig, write_artifacts: bool = True) -> Ru
         raise ValueError(f"batch size {bs} exceeds training set size {len(train)}")
     batches_per_epoch = len(train) // bs
     probe = config.probe
-    if probe is not None and probe.layer is not None:
-        probe_layer = probe.layer
-    else:
-        probe_layer = config.default_probe_layer
 
     records: list[MetricRecord] = []
     epoch_train_loss: list[float] = []
     started = time.perf_counter()
-    iteration = 0
     for epoch in range(1, config.epochs + 1):
         order = rng_shuffle.permutation(len(train))
         losses = []
         for b in range(batches_per_epoch):
-            iteration += 1
             idx = order[b * bs : (b + 1) * bs]
             x = train[idx]
             metrics = train_step(model, (x, x), state, opt)
@@ -288,16 +289,16 @@ def run_experiment(config: ExperimentConfig, write_artifacts: bool = True) -> Ru
                     extra[f"sigma1_L{i}"] = s1
                     extra[f"sigma2_L{i}"] = s2
                     extra[f"degenerate_L{i}"] = float(degen)
-            if probe is not None and (iteration - 1) % probe.every == 0:
+            if probe is not None and (state.iteration - 1) % probe.every == 0:
                 errors = fim_error_probe(
-                    model, x, probe_layer, methods=probe.methods, rng=rng_probe,
+                    model, x, probe.layer, methods=probe.methods, rng=rng_probe,
                     eps=opt.svd_eps,
                 )
                 for name, err in errors.items():
                     extra[f"err_frob_{name}"] = err.frobenius
                     extra[f"err_spec_{name}"] = err.spectral
             rec = MetricRecord(
-                iteration=iteration,
+                iteration=state.iteration,
                 epoch=epoch,
                 train_loss=metrics.loss,
                 nu=metrics.nu,
@@ -312,7 +313,7 @@ def run_experiment(config: ExperimentConfig, write_artifacts: bool = True) -> Ru
     elapsed = time.perf_counter() - started
     summary = {
         "method": opt.method,
-        "iterations": iteration,
+        "iterations": state.iteration,
         "epochs": config.epochs,
         "epoch_train_loss": epoch_train_loss,
         "final_train_loss": epoch_train_loss[-1],

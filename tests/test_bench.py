@@ -215,7 +215,22 @@ class TestExperimentConfig:
         assert config.layer_dims == [64, 32, 16, 6, 16, 32, 64]
         assert config.activations == ["relu"] * 5 + ["sigmoid"]
         assert config.loss == "bce"
-        assert config.default_probe_layer == 4
+        # an empty probe object loads with the layer just past the midpoint
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"preset": "curves_desk", "probe": {}}))
+        assert load_config(path).probe.layer == 4
+
+    @pytest.mark.parametrize(
+        "preset,probe,dim",
+        [("faces", ProbeSpec(), 15500), ("mnist", ProbeSpec(), 7750),
+         ("curves", ProbeSpec(layer=1), 314000)],
+        ids=["faces-default", "mnist-default", "curves-layer1"],
+    )
+    def test_probe_block_too_large_to_materialize_refused_at_load(self, preset, probe, dim):
+        """The probe builds the layer's dense Fisher block, so a block past
+        `mlp.MAX_DENSE_BLOCK` is refused before any data or model exists."""
+        with pytest.raises(ValueError, match=f"block dimension {dim} exceeds dense limit 2500"):
+            ExperimentConfig(preset=preset, probe=probe)
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):
@@ -241,8 +256,6 @@ class TestExperimentConfig:
             config_from_dict(raw)
         with pytest.raises(ValueError, match=f"'{section}'"):
             load_config(path)
-        with pytest.raises(ValueError, match=f"'{section}'"):
-            load_config(path, {"lr": 0.1, "epochs": 2})
 
     def test_null_probe_means_no_probing(self):
         assert config_from_dict({"preset": "curves_desk", "probe": None}).probe is None
@@ -290,15 +303,6 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="underspecified"):
             ExperimentConfig(preset="", layer_dims=[4, 2])
 
-    def test_load_config_routes_optimizer_overrides(self, tmp_path):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({"preset": "curves_desk", "optimizer": {"method": "sgd"}}))
-        config = load_config(path, {"lr": 0.123, "epochs": 3, "out_dir": "elsewhere"})
-        assert config.optimizer.lr == 0.123
-        assert config.optimizer.method == "sgd"
-        assert config.epochs == 3
-        assert config.out_dir == "elsewhere"
-
 
 class TestBuildDataset:
     def test_synthetic_curves_split(self, tmp_path):
@@ -339,6 +343,31 @@ class TestBuildDataset:
         train, val = build_dataset(config, np.random.default_rng(0))
         assert train.shape == (10, 16)
         assert val.shape == (5, 16)
+
+    @pytest.mark.parametrize("wide", ["train.idx", "val.idx"])
+    def test_each_idx_file_width_checked(self, tmp_path, wide):
+        """With a separate validation file, each file is checked against
+        the input width, and the error names the file."""
+        rng = np.random.default_rng(1)
+        for name, n in (("train.idx", 10), ("val.idx", 5)):
+            side = 5 if name == wide else 4
+            save_idx(tmp_path / name, rng.random((n, side, side)))
+        config = ExperimentConfig(
+            preset="",
+            dataset="mnist",
+            layer_dims=[16, 8, 16],
+            activations=["relu", "sigmoid"],
+            loss="bce",
+            n_train=10,
+            n_val=5,
+            data_path=str(tmp_path / "train.idx"),
+            val_path=str(tmp_path / "val.idx"),
+            out_dir=str(tmp_path),
+        )
+        with pytest.raises(
+            ValueError, match=rf"{wide}: dataset width 25 != network input width 16"
+        ):
+            build_dataset(config, np.random.default_rng(0))
 
     @pytest.mark.parametrize(
         "n_train,n_val,val_rows,message",
@@ -633,6 +662,7 @@ class TestCli:
                 "--config", str(self.write_config(tmp_path)),
                 "--method", "kfac",
                 "--lr", "0.01",
+                "--epochs", "2",
                 "--out", str(tmp_path / "kfac_run"),
             ]
         )
@@ -641,6 +671,51 @@ class TestCli:
         echo = json.loads((tmp_path / "kfac_run" / "config_echo.json").read_text())
         assert echo["optimizer"]["method"] == "kfac"
         assert echo["optimizer"]["lr"] == 0.01
+        assert echo["epochs"] == 2
+        assert echo["out_dir"] == str(tmp_path / "kfac_run")
+        # the file's own values stand where no flag is given
+        assert echo["optimizer"]["batch_size"] == 32
+        assert echo["n_train"] == 64
+        assert not (tmp_path / "run").exists()
+
+    def test_verbose_flag_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["-v", "train", "--config", str(self.write_config(tmp_path))])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: -v" in capsys.readouterr().err
+
+    def test_file_must_be_valid_before_flags_edit_it(self, tmp_path, capsys):
+        """A flag cannot hide an invalid value in the config file."""
+        path = self.write_config(tmp_path)
+        raw = json.loads(path.read_text())
+        raw["optimizer"]["lr"] = -1
+        path.write_text(json.dumps(raw))
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--config", str(path), "--lr", "0.1"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "kronfisher train: error: lr must be > 0"
+        )
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "preset,probe,flags",
+        [("faces", None, []), ("curves", {"layer": 1}, []), ("curves", None, ["--layer", "1"])],
+        ids=["faces-default", "curves-file-layer1", "curves-flag-layer1"],
+    )
+    def test_probe_block_too_large_is_a_usage_error(self, tmp_path, capsys, preset, probe, flags):
+        """Refused before the dataset is built, so no output directory appears."""
+        out = tmp_path / "probe_run"
+        raw = {"preset": preset, "probe": probe, "n_train": 8, "n_val": 0, "out_dir": str(out),
+               "optimizer": {"batch_size": 8}}
+        raw.update({"dataset": "synthetic_faces"} if preset == "faces" else {"side": 28})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(SystemExit) as exc:
+            main(["probe-fim", "--config", str(path), *flags])
+        assert exc.value.code == 2
+        assert "exceeds dense limit 2500" in capsys.readouterr().err.splitlines()[-1]
+        assert not out.exists()
 
     def test_probe_subcommand_prints_errors(self, tmp_path, capsys):
         rc = main(
