@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from kronfisher.cli import main
+from kronfisher.cli import _load_config, build_parser, main
 from kronfisher.datasets import gen_gaussian_blobs, gen_synthetic_curves, load_idx, save_idx
 from kronfisher.experiment import (
     ARCHITECTURES,
@@ -302,6 +302,25 @@ class TestExperimentConfig:
     def test_bare_architecture_must_be_complete(self):
         with pytest.raises(ValueError, match="underspecified"):
             ExperimentConfig(preset="", layer_dims=[4, 2])
+
+    def test_load_config_routes_optimizer_overrides(self, tmp_path):
+        # the loaded file, then each flag applied to its own section
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"preset": "curves_desk", "optimizer": {"method": "sgd"}}))
+        args = build_parser().parse_args(
+            ["train", "--config", str(path), "--lr", "0.123", "--epochs", "3", "--out", "elsewhere"]
+        )
+        config = _load_config(args)
+        assert config.optimizer.lr == 0.123
+        assert config.optimizer.method == "sgd"
+        assert config.epochs == 3
+        assert config.out_dir == "elsewhere"
+        assert config == replace(
+            load_config(path),
+            optimizer=replace(load_config(path).optimizer, lr=0.123),
+            epochs=3,
+            out_dir="elsewhere",
+        )
 
 
 class TestBuildDataset:
