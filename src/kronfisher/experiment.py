@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -167,6 +168,20 @@ class ExperimentConfig:
                     f"probe layer {layer}: block dimension {dim} exceeds dense limit "
                     f"{MAX_DENSE_BLOCK}"
                 )
+        width = self.layer_dims[0]
+        if self.dataset == "synthetic_curves" and self.side * self.side != width:
+            raise ValueError(
+                f"synthetic_curves: side {self.side} gives image width {self.side * self.side}, "
+                f"network input width is {width}"
+            )
+        if self.dataset == "synthetic_faces" and math.isqrt(width) ** 2 != width:
+            raise ValueError(
+                f"synthetic_faces: network input width {width} is not a square image width"
+            )
+        if self.optimizer.batch_size > self.n_train:
+            raise ValueError(
+                f"batch size {self.optimizer.batch_size} exceeds training set size {self.n_train}"
+            )
 
 
 @dataclass
@@ -209,8 +224,10 @@ def load_config(path) -> ExperimentConfig:
 
 
 def build_dataset(config: ExperimentConfig, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Return (train, val) input matrices for the configured dataset; each
-    source, a generator or a file, must be as wide as the network input."""
+    """Return (train, val) input matrices for the configured dataset.
+
+    A generated dataset fits the input layer by the config's load-time
+    checks; each IDX file must be as wide as the network input."""
     width = config.layer_dims[0]
     n_train, n_val = config.n_train, config.n_val
     if config.dataset != "mnist":
@@ -218,11 +235,11 @@ def build_dataset(config: ExperimentConfig, rng: np.random.Generator) -> tuple[n
         if config.dataset == "synthetic_curves":
             data = gen_synthetic_curves(n_train + n_val, seed, side=config.side)
         else:
-            data = gen_gaussian_blobs(n_train + n_val, seed, side=int(round(np.sqrt(width))))
-        parts = [(config.dataset, data[:n_train]), (config.dataset, data[n_train:])]
-    elif not config.data_path:
+            data = gen_gaussian_blobs(n_train + n_val, seed, side=math.isqrt(width))
+        return data[:n_train], data[n_train:]
+    if not config.data_path:
         raise ValueError("mnist dataset requires data_path pointing at an IDX image file")
-    elif config.val_path:
+    if config.val_path:
         parts = [
             (config.data_path, _idx_rows(config.data_path, n_train, "n_train")),
             (config.val_path, _idx_rows(config.val_path, n_val, "n_val")),
@@ -265,8 +282,6 @@ def run_experiment(config: ExperimentConfig, write_artifacts: bool = True) -> Ru
     state = init_train_state(model, opt, sample_rng=rng_sample)
 
     bs = opt.batch_size
-    if bs > len(train):
-        raise ValueError(f"batch size {bs} exceeds training set size {len(train)}")
     batches_per_epoch = len(train) // bs
     probe = config.probe
 

@@ -21,10 +21,14 @@ __all__ = [
     "zigzag",
     "sym_eig",
     "inv_sqrt",
+    "spd_inv",
     "spectrum",
 ]
 
 EIG_CLAMP_REL = 1e-12
+
+# triangular blocks up to this size are inverted directly; 32-96 time alike
+_TRIL_INV_BASE = 64
 
 
 class NotPositiveDefiniteError(np.linalg.LinAlgError):
@@ -113,6 +117,39 @@ def inv_sqrt(m: np.ndarray, context: str = "") -> np.ndarray:
     if vals.size == 0 or smallest <= 0.0:
         raise NotPositiveDefiniteError(smallest, context=context)
     return (vecs * vals ** -0.5) @ vecs.T
+
+
+def spd_inv(m: np.ndarray, context: str = "") -> np.ndarray:
+    """Inverse of a symmetric positive-definite matrix through its Cholesky factor.
+
+    With m = l l^T and x = l^-1, the inverse is x^T x, which comes out
+    exactly symmetric.  A matrix Cholesky rejects raises
+    `NotPositiveDefiniteError` with its smallest eigenvalue.
+    """
+    m = np.asarray(m, dtype=np.float64)
+    try:
+        x = np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefiniteError(np.linalg.eigvalsh(m)[0], context=context) from None
+    _invert_lower(x)
+    return x.T @ x
+
+
+def _invert_lower(low: np.ndarray) -> None:
+    # in place, by recursive 2x2 blocking: [[l11, 0], [l21, l22]]^-1 is
+    # [[x11, 0], [-x22 l21 x11, x22]], so the work beyond the base is matmuls
+    n = low.shape[0]
+    if n <= _TRIL_INV_BASE:
+        low[...] = np.tril(np.linalg.inv(low))
+        return
+    h = n // 2
+    _invert_lower(low[:h, :h])
+    _invert_lower(low[h:, h:])
+    # one temporary, negated in place and multiplied into the block: the
+    # form with three temporaries left a larger heap after 785 x 785 factors
+    tmp = low[h:, h:] @ low[h:, :h]
+    np.negative(tmp, out=tmp)
+    np.matmul(tmp, low[:h, :h], out=low[h:, :h])
 
 
 def spectrum(m: np.ndarray) -> np.ndarray:

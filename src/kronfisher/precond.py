@@ -8,7 +8,9 @@ step applies the cached inverse to the layer gradient.
 
 A state holds as many pairs as its first refresh brought, one or two,
 and later refreshes must bring the same number.  One pair is inverted
-factor by factor (`Rank1Cache`).  Two pairs solve (A kron B + C kron D) x = vec(V) through
+factor by factor through Cholesky (`Rank1Cache`, `linalg.spd_inv`), which
+raises `NotPositiveDefiniteError` on a damped factor that is not positive
+definite.  Two pairs solve (A kron B + C kron D) x = vec(V) through
 the congruence diagonalization of C against A and D against B
 (`Rank2Cache`), which costs only matrix-size work, never Kronecker-size
 work, and raises `np.linalg.LinAlgError` on a singular sum.  A cache
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .factorizations import FactorResult, KronPair
-from .linalg import EIG_CLAMP_REL, inv_sqrt, sym_eig
+from .linalg import EIG_CLAMP_REL, inv_sqrt, spd_inv, sym_eig
 
 __all__ = [
     "Rank1Cache",
@@ -112,10 +114,10 @@ def damp_pair(a: np.ndarray, g: np.ndarray, damping: float) -> tuple[np.ndarray,
         raise ValueError("damping must be >= 0")
     pi = damping_pi(a, g)
     root = np.sqrt(damping)
-    return (
-        a + pi * root * np.eye(a.shape[0]),
-        g + root / pi * np.eye(g.shape[0]),
-    )
+    a_d, g_d = a.copy(), g.copy()
+    a_d.flat[:: a.shape[0] + 1] += pi * root
+    g_d.flat[:: g.shape[0] + 1] += root / pi
+    return a_d, g_d
 
 
 def apply_rank1_inverse(a: np.ndarray, g: np.ndarray, grad_w: np.ndarray) -> np.ndarray:
@@ -201,8 +203,9 @@ def update_factors(state: KronApprox, result: FactorResult, k: int, alpha: float
 def rebuild_cache(state: KronApprox, damping: float) -> None:
     """Damp the dominant averaged pair and rebuild the inverse cache.
 
-    One pair gets the rank-one cache, two pairs the congruence cache; a
-    singular two-term sum raises and leaves the previous cache in place.
+    One pair gets the rank-one cache, two pairs the congruence cache.  A
+    damped factor that is not positive definite, or a singular two-term
+    sum, raises and leaves the previous cache in place.
     """
     if state.pairs is None:
         raise ValueError("no factors accumulated yet")
@@ -210,7 +213,10 @@ def rebuild_cache(state: KronApprox, damping: float) -> None:
     if len(state.pairs) == 2:
         state.cache = kron_sum_prepare(a_d, g_d, state.pairs[1].left, state.pairs[1].right)
     else:
-        state.cache = Rank1Cache(np.linalg.inv(a_d), np.linalg.inv(g_d))
+        state.cache = Rank1Cache(
+            spd_inv(a_d, context="left dominant factor"),
+            spd_inv(g_d, context="right dominant factor"),
+        )
 
 
 def precondition_layer(state: KronApprox, grad_w: np.ndarray) -> np.ndarray:

@@ -332,7 +332,8 @@ class TestBuildDataset:
 
     def test_synthetic_faces_split(self, tmp_path):
         config = ExperimentConfig(
-            preset="faces", dataset="synthetic_faces", n_train=8, n_val=4, out_dir=str(tmp_path)
+            preset="faces", dataset="synthetic_faces", n_train=8, n_val=4,
+            optimizer=OptimizerConfig(batch_size=8), out_dir=str(tmp_path),
         )
         train, val = build_dataset(config, np.random.default_rng(0))
         assert train.shape == (8, 625)
@@ -357,6 +358,7 @@ class TestBuildDataset:
             n_val=5,
             data_path=str(tmp_path / "train.idx"),
             val_path=str(tmp_path / "val.idx"),
+            optimizer=OptimizerConfig(batch_size=8),
             out_dir=str(tmp_path),
         )
         train, val = build_dataset(config, np.random.default_rng(0))
@@ -381,6 +383,7 @@ class TestBuildDataset:
             n_val=5,
             data_path=str(tmp_path / "train.idx"),
             val_path=str(tmp_path / "val.idx"),
+            optimizer=OptimizerConfig(batch_size=8),
             out_dir=str(tmp_path),
         )
         with pytest.raises(
@@ -417,6 +420,7 @@ class TestBuildDataset:
             n_val=n_val,
             data_path=str(tmp_path / "data.idx"),
             val_path=val_path,
+            optimizer=OptimizerConfig(batch_size=8),
             out_dir=str(tmp_path),
         )
         with pytest.raises(ValueError, match=message):
@@ -452,9 +456,13 @@ class TestBuildDataset:
             build_dataset(config, np.random.default_rng(0))
 
     def test_width_mismatch_rejected(self, tmp_path):
-        config = desk_config(tmp_path, side=9)
-        with pytest.raises(ValueError, match="width"):
-            build_dataset(config, np.random.default_rng(0))
+        """A generator whose images cannot fill the input layer is refused
+        when the config is built, before any data exists."""
+        with pytest.raises(ValueError, match="side 9 gives image width 81, network input width is 64"):
+            desk_config(tmp_path, side=9)
+        with pytest.raises(ValueError, match="input width 60 is not a square image width"):
+            ExperimentConfig(preset="", dataset="synthetic_faces", layer_dims=[60, 16, 60],
+                             activations=["relu", "linear"], loss="mse")
 
 
 class TestRunExperiment:
@@ -498,11 +506,9 @@ class TestRunExperiment:
         assert not (tmp_path / "run").exists()
 
     def test_oversized_batch_rejected(self, tmp_path):
-        config = desk_config(
-            tmp_path, optimizer=OptimizerConfig(method="sgd", batch_size=256)
-        )
-        with pytest.raises(ValueError, match="batch size"):
-            run_experiment(config, write_artifacts=False)
+        """Refused when the config is built, not after the dataset is."""
+        with pytest.raises(ValueError, match="batch size 256 exceeds training set size 64"):
+            desk_config(tmp_path, optimizer=OptimizerConfig(method="sgd", batch_size=256))
 
     def test_metrics_file_is_byte_identical_across_runs(self, tmp_path):
         a = run_experiment(desk_config(tmp_path, out_dir=str(tmp_path / "a")))
@@ -630,10 +636,19 @@ class TestGridSearch:
         assert out["best"] is None
 
     def test_oversized_batch_still_raises(self, tmp_path):
-        config = desk_config(
-            tmp_path, optimizer=OptimizerConfig(method="kfac_corrected", batch_size=256)
-        )
+        """An oversized batch never reaches the grid: the config is refused.
+        A config error found inside a run (here a short IDX file) is raised,
+        not recorded as a diverged point."""
         with pytest.raises(ValueError, match="exceeds training set size"):
+            desk_config(tmp_path, optimizer=OptimizerConfig(method="kfac_corrected", batch_size=256))
+        save_idx(tmp_path / "data.idx", np.random.default_rng(1).random((10, 4, 4)))
+        config = ExperimentConfig(
+            preset="", dataset="mnist", layer_dims=[16, 8, 16],
+            activations=["relu", "sigmoid"], loss="bce", n_train=32, n_val=0,
+            data_path=str(tmp_path / "data.idx"), out_dir=str(tmp_path / "grid"),
+            optimizer=OptimizerConfig(method="kfac_corrected", batch_size=32),
+        )
+        with pytest.raises(ValueError, match="IDX file holds 10 rows"):
             grid_search(config, etas=(1e-2,), lambdas=(1e-2,), clips=(0.1,))
 
     def test_second_order_grid_is_three_dimensional(self, tmp_path):
@@ -734,6 +749,31 @@ class TestCli:
             main(["probe-fim", "--config", str(path), *flags])
         assert exc.value.code == 2
         assert "exceeds dense limit 2500" in capsys.readouterr().err.splitlines()[-1]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "raw,message",
+        [
+            ({"preset": "curves"}, "synthetic_curves: side 8 gives image width 64, "
+             "network input width is 784"),
+            ({"preset": "", "dataset": "synthetic_faces", "layer_dims": [60, 16, 60],
+              "activations": ["relu", "linear"], "loss": "mse"},
+             "synthetic_faces: network input width 60 is not a square image width"),
+            ({"preset": "curves_desk", "n_train": 64, "optimizer": {"batch_size": 65}},
+             "batch size 65 exceeds training set size 64"),
+        ],
+        ids=["curves-side", "faces-width", "batch-size"],
+    )
+    def test_data_shape_errors_are_usage_errors(self, tmp_path, capsys, raw, message):
+        """Refused at load with one error line and exit 2, before any data
+        is built or any output directory is made."""
+        out = tmp_path / "run"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**raw, "out_dir": str(out)}))
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--config", str(path)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"kronfisher train: error: {message}"
         assert not out.exists()
 
     def test_probe_subcommand_prints_errors(self, tmp_path, capsys):

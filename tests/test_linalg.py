@@ -3,6 +3,8 @@ hand-rolled oracle from conftest."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import kron_oracle, rand_spd, rand_sym, zigzag_oracle
@@ -11,6 +13,7 @@ from kronfisher.linalg import (
     inv_sqrt,
     kron,
     mat,
+    spd_inv,
     spectrum,
     sym_eig,
     vec,
@@ -127,12 +130,6 @@ class TestInvSqrt:
         r = inv_sqrt(m)
         assert_allclose(r @ m @ r, np.eye(5), atol=1e-10)
 
-    def test_non_pd_reports_smallest_eigenvalue(self):
-        m = np.diag([2.0, -0.5])
-        with pytest.raises(NotPositiveDefiniteError) as err:
-            inv_sqrt(m)
-        assert err.value.smallest_eigenvalue == pytest.approx(-0.5)
-
     def test_tiny_negative_noise_is_clamped_to_failure(self):
         """Eigenvalues below the relative clamp become exact zeros, which
         still fail the positivity requirement rather than producing huge
@@ -141,3 +138,36 @@ class TestInvSqrt:
         with pytest.raises(NotPositiveDefiniteError) as err:
             inv_sqrt(m)
         assert err.value.smallest_eigenvalue == 0.0
+
+
+@st.composite
+def spd_matrices(draw):
+    """Symmetric positive-definite matrices of size 1-300, across the
+    recursion base of `spd_inv`, with condition numbers up to 1e8."""
+    n = draw(st.integers(1, 300))
+    cond = 10.0 ** draw(st.floats(0.0, 8.0))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    m = (q * (scale * np.geomspace(1.0, 1.0 / cond, n))) @ q.T
+    return 0.5 * (m + m.T)
+
+
+class TestSpdInv:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(spd_matrices())
+    def test_matches_solve_relative_to_condition(self, m):
+        """Exactly symmetric, and within a small multiple of cond * eps of
+        the LU solve (the worst of 300 random draws measured 3)."""
+        x = spd_inv(m)
+        assert np.array_equal(x, x.T)
+        want = np.linalg.solve(m, np.eye(len(m)))
+        err = np.linalg.norm(x - want) / np.linalg.norm(want)
+        assert err <= 100 * np.linalg.cond(m) * np.finfo(np.float64).eps
+
+
+@pytest.mark.parametrize("invert", [inv_sqrt, spd_inv], ids=["inv_sqrt", "spd_inv"])
+def test_non_pd_reports_smallest_eigenvalue(invert):
+    with pytest.raises(NotPositiveDefiniteError, match="^left factor: matrix is not") as err:
+        invert(np.diag([2.0, -0.5]), context="left factor")
+    assert err.value.smallest_eigenvalue == pytest.approx(-0.5)

@@ -1,6 +1,7 @@
 """The package's public names: each module's ``__all__`` is their one
 declaration, and the package itself re-exports nothing.  Every name a
-module imports from a sibling is used there or re-exported."""
+module imports from a sibling is used there or re-exported, and explicit
+inverses live only in `linalg`."""
 
 import ast
 import importlib
@@ -61,3 +62,12 @@ def test_sibling_imports_are_used_or_exported():
                     if name not in kept and (path.stem, name) not in UNUSED_IMPORTS_ALLOWED:
                         unused.append(f"{path.stem}: {name}")
     assert unused == []
+
+
+def test_explicit_inverses_live_in_linalg():
+    """`linalg` is the one home of an explicit inverse, so the factorization
+    that suits each matrix (Cholesky for a positive-definite one) is chosen
+    in one place."""
+    found = [path.name for path in sorted(Path(kronfisher.__file__).parent.glob("*.py"))
+             if path.name != "linalg.py" and "np.linalg.inv(" in path.read_text()]
+    assert found == []

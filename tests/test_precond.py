@@ -313,15 +313,17 @@ class TestStateMachine:
         with pytest.raises(ValueError):
             precondition_layer(state, np.zeros((2, 2)))
 
-    def test_rank1_roundtrip_matches_damped_solve(self):
+    @pytest.mark.parametrize("d,dp", [(3, 2), (785, 400)], ids=["3x2", "curves-L1"])
+    def test_rank1_roundtrip_matches_damped_solve(self, d, dp):
+        """The curves-size pair goes through spd_inv's recursive blocking."""
         rng = np.random.default_rng(7)
-        a = rand_spd(rng, 3)
-        g = rand_spd(rng, 2)
+        a = rand_spd(rng, d)
+        g = rand_spd(rng, dp)
         state = KronApprox()
         update_factors(state, make_result([KronPair(a, g)]), 1, 0.95)
         rebuild_cache(state, damping=1e-2)
         assert isinstance(state.cache, Rank1Cache)
-        w = rng.standard_normal((2, 3))
+        w = rng.standard_normal((dp, d))
         a_d, g_d = damp_pair(a, g, 1e-2)
         assert_allclose(
             precondition_layer(state, w),
@@ -360,6 +362,19 @@ class TestStateMachine:
         # corrector engineered to cancel the damped dominant product
         state.pairs = (state.pairs[0], KronPair(-a_d, g_d))
         with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            rebuild_cache(state, damping=1e-3)
+        assert state.cache is old_cache
+
+    def test_non_pd_rank1_raises_and_keeps_the_previous_cache(self):
+        rng = np.random.default_rng(9)
+        state = KronApprox()
+        update_factors(state, make_result([KronPair(rand_spd(rng, 3), rand_spd(rng, 2))]), 1, 0.95)
+        rebuild_cache(state, damping=1e-3)
+        old_cache = state.cache
+        assert isinstance(old_cache, Rank1Cache)
+        # the damping cannot lift an indefinite left factor to positive definite
+        state.pairs = (KronPair(-np.eye(3), np.eye(2)),)
+        with pytest.raises(NotPositiveDefiniteError, match="^left dominant factor: "):
             rebuild_cache(state, damping=1e-3)
         assert state.cache is old_cache
 
