@@ -21,6 +21,7 @@ __all__ = [
     "zigzag",
     "sym_eig",
     "inv_sqrt",
+    "inv_chol",
     "spd_inv",
     "spectrum",
 ]
@@ -109,6 +110,7 @@ def _clamped_eigenvalues(vals: np.ndarray) -> np.ndarray:
     return out
 
 
+# no package code calls it; benchmarks/tracing.py wraps it in `precond`
 def inv_sqrt(m: np.ndarray, context: str = "") -> np.ndarray:
     """Inverse matrix square root of a symmetric positive-definite matrix."""
     vals, vecs = sym_eig(m)
@@ -119,19 +121,28 @@ def inv_sqrt(m: np.ndarray, context: str = "") -> np.ndarray:
     return (vecs * vals ** -0.5) @ vecs.T
 
 
-def spd_inv(m: np.ndarray, context: str = "") -> np.ndarray:
-    """Inverse of a symmetric positive-definite matrix through its Cholesky factor.
+def inv_chol(m: np.ndarray, context: str = "") -> np.ndarray:
+    """Inverse x = l^-1 of the Cholesky factor of a positive-definite m = l l^T.
 
-    With m = l l^T and x = l^-1, the inverse is x^T x, which comes out
-    exactly symmetric.  A matrix Cholesky rejects raises
-    `NotPositiveDefiniteError` with its smallest eigenvalue.
+    x is lower triangular and x m x^T = I.  A matrix that is not finite
+    or that Cholesky rejects raises `NotPositiveDefiniteError` with its
+    smallest eigenvalue (nan if not finite).
     """
     m = np.asarray(m, dtype=np.float64)
+    # Cholesky passes NaN through instead of rejecting it
+    if not np.all(np.isfinite(m)):
+        raise NotPositiveDefiniteError(np.nan, context=context)
     try:
         x = np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         raise NotPositiveDefiniteError(np.linalg.eigvalsh(m)[0], context=context) from None
     _invert_lower(x)
+    return x
+
+
+def spd_inv(m: np.ndarray, context: str = "") -> np.ndarray:
+    """Inverse x^T x, exactly symmetric, of m through x = `inv_chol`(m)."""
+    x = inv_chol(m, context=context)
     return x.T @ x
 
 

@@ -7,14 +7,16 @@ trace-balanced split and an inverse cache is rebuilt; every optimization
 step applies the cached inverse to the layer gradient.
 
 A state holds as many pairs as its first refresh brought, one or two,
-and later refreshes must bring the same number.  One pair is inverted
-factor by factor through Cholesky (`Rank1Cache`, `linalg.spd_inv`), which
-raises `NotPositiveDefiniteError` on a damped factor that is not positive
-definite.  Two pairs solve (A kron B + C kron D) x = vec(V) through
-the congruence diagonalization of C against A and D against B
-(`Rank2Cache`), which costs only matrix-size work, never Kronecker-size
-work, and raises `np.linalg.LinAlgError` on a singular sum.  A cache
-holds only what `precondition_layer` applies; a rebuild replaces it whole.
+and later refreshes must bring the same number.  Either way the damped
+dominant pair goes through its Cholesky factors (`linalg.inv_chol`),
+which raise `NotPositiveDefiniteError` on a damped factor that is not
+positive definite or not finite.  One pair is inverted factor by factor
+(`Rank1Cache`, `linalg.spd_inv`).  Two pairs solve
+(A kron B + C kron D) x = vec(V) through the congruence diagonalization
+of C against A and D against B (`Rank2Cache`), which costs only
+matrix-size work, never Kronecker-size work, and raises
+`np.linalg.LinAlgError` on a singular sum.  A cache holds only what
+`precondition_layer` applies; a rebuild replaces it whole.
 """
 
 from __future__ import annotations
@@ -25,7 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .factorizations import FactorResult, KronPair
-from .linalg import EIG_CLAMP_REL, inv_sqrt, spd_inv, sym_eig
+# inv_sqrt is unused here but stays importable:
+# benchmarks/tracing.py wraps it in this namespace
+from .linalg import EIG_CLAMP_REL, inv_chol, inv_sqrt, spd_inv, sym_eig  # noqa: F401
 
 __all__ = [
     "Rank1Cache",
@@ -102,7 +106,8 @@ def damping_pi(a: np.ndarray, g: np.ndarray) -> float:
     """Trace-balancing split of the damping between the two factors."""
     tr_a = float(np.trace(a))
     tr_g = float(np.trace(g))
-    if tr_g <= 0.0 or tr_a <= 0.0:
+    # a NaN trace splits as 1 too, so it stays in its own damped factor
+    if not (tr_a > 0.0 and tr_g > 0.0):
         logger.warning("degenerate factor traces (%.3e, %.3e); damping split as 1", tr_a, tr_g)
         return 1.0
     return float(np.sqrt((tr_a / a.shape[0]) / (tr_g / g.shape[0])))
@@ -135,16 +140,19 @@ def kron_sum_prepare(
     """Factor (a kron b + c kron d) exactly for repeated solves.
 
     a and b must be positive definite (the damped dominant pair); c and d
-    only symmetric, so the sum may be indefinite.  It is singular to
-    working precision, and `np.linalg.LinAlgError` is raised, when a
-    denominator 1 + x, x = s2_i*s1_j, has |1 + x| <= EIG_CLAMP_REL * (1 + |x|).
+    only symmetric, so the sum may be indefinite.  With xa = `inv_chol`(a),
+    which raises on a or b, and e1 the eigenvectors of xa c xa^T,
+    k1 = xa^T e1 gives k1^T a k1 = I and k1^T c k1 = diag(s1); likewise k2.
+    The sum is singular to working precision, and `np.linalg.LinAlgError`
+    is raised, when a denominator 1 + x, x = s2_i*s1_j, has
+    |1 + x| <= EIG_CLAMP_REL * (1 + |x|).
     """
-    a_isqrt = inv_sqrt(a, context="left dominant factor")
-    b_isqrt = inv_sqrt(b, context="right dominant factor")
-    s1, e1 = sym_eig(a_isqrt @ c @ a_isqrt)
-    s2, e2 = sym_eig(b_isqrt @ d @ b_isqrt)
-    k1 = a_isqrt @ e1
-    k2 = b_isqrt @ e2
+    xa = inv_chol(a, context="left dominant factor")
+    xb = inv_chol(b, context="right dominant factor")
+    s1, e1 = sym_eig(xa @ c @ xa.T)
+    s2, e2 = sym_eig(xb @ d @ xb.T)
+    k1 = xa.T @ e1
+    k2 = xb.T @ e2
     prod = np.outer(s2, s1)
     denom = 1.0 + prod
     unresolved = np.abs(denom) <= EIG_CLAMP_REL * (1.0 + np.abs(prod))
@@ -204,8 +212,8 @@ def rebuild_cache(state: KronApprox, damping: float) -> None:
     """Damp the dominant averaged pair and rebuild the inverse cache.
 
     One pair gets the rank-one cache, two pairs the congruence cache.  A
-    damped factor that is not positive definite, or a singular two-term
-    sum, raises and leaves the previous cache in place.
+    damped factor that is not finite and positive definite, or a singular
+    two-term sum, raises and leaves the previous cache in place.
     """
     if state.pairs is None:
         raise ValueError("no factors accumulated yet")

@@ -599,21 +599,27 @@ class TestGridSearch:
         assert statuses[1e200].startswith("diverged")
         assert out["best"]["eta"] == 1e-3
 
-    def test_indefinite_factor_point_is_recorded_not_fatal(self, tmp_path):
-        # lr 100 at damping 1e-4 drives kfac_corrected's dominant left
-        # factor singular within the first epochs
+    def test_indefinite_factor_point_is_recorded_not_fatal(self, tmp_path, monkeypatch):
+        from kronfisher import precond
+
+        damp_pair = precond.damp_pair
+
+        def indefinite_left(a, g, damping):
+            # a negated damped factor is indefinite whatever the damping
+            a_d, g_d = damp_pair(a, g, damping)
+            return -a_d, g_d
+
         config = desk_config(
             tmp_path,
-            epochs=5,
-            n_train=128,
-            optimizer=OptimizerConfig(
-                method="kfac_corrected", lr=1e-2, clip=0.1, batch_size=64, seed=11, t1=5, t2=5
-            ),
+            epochs=1,
+            optimizer=OptimizerConfig(method="kfac_corrected", lr=1e-2, batch_size=32),
         )
-        with np.errstate(all="ignore"):
-            out = grid_search(config, etas=(100.0,), lambdas=(1e-4,), clips=(0.1,))
+        monkeypatch.setattr(precond, "damp_pair", indefinite_left)
+        out = grid_search(config, etas=(1e-2,), lambdas=(1e-2,), clips=(0.1,))
         (run,) = out["runs"]
-        assert run["status"].startswith("diverged: left dominant factor")
+        assert run["status"].startswith(
+            "diverged: left dominant factor: matrix is not positive definite (smallest eigenvalue -"
+        )
         assert math.isnan(run["final_train_loss"])
         assert out["best"] is None
 

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from conftest import kron_oracle, rand_spd, rand_sym, zigzag_oracle
 from kronfisher.linalg import (
     NotPositiveDefiniteError,
+    inv_chol,
     inv_sqrt,
     kron,
     mat,
@@ -166,8 +167,22 @@ class TestSpdInv:
         assert err <= 100 * np.linalg.cond(m) * np.finfo(np.float64).eps
 
 
-@pytest.mark.parametrize("invert", [inv_sqrt, spd_inv], ids=["inv_sqrt", "spd_inv"])
-def test_non_pd_reports_smallest_eigenvalue(invert):
+INDEFINITE = np.diag([2.0, -0.5])
+NAN_DIAGONAL = np.diag([1.0, np.nan, 1.0])
+
+
+@pytest.mark.parametrize(
+    "invert,m,smallest",
+    [
+        pytest.param(inv_sqrt, INDEFINITE, -0.5, id="inv_sqrt"),
+        pytest.param(inv_chol, INDEFINITE, -0.5, id="inv_chol"),
+        pytest.param(spd_inv, INDEFINITE, -0.5, id="spd_inv"),
+        # Cholesky itself returns NaN here instead of failing
+        pytest.param(inv_chol, NAN_DIAGONAL, np.nan, id="inv_chol-non-finite"),
+        pytest.param(spd_inv, NAN_DIAGONAL, np.nan, id="spd_inv-non-finite"),
+    ],
+)
+def test_non_pd_reports_smallest_eigenvalue(invert, m, smallest):
     with pytest.raises(NotPositiveDefiniteError, match="^left factor: matrix is not") as err:
-        invert(np.diag([2.0, -0.5]), context="left factor")
-    assert err.value.smallest_eigenvalue == pytest.approx(-0.5)
+        invert(m, context="left factor")
+    assert err.value.smallest_eigenvalue == pytest.approx(smallest, nan_ok=True)

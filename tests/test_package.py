@@ -1,7 +1,7 @@
 """The package's public names: each module's ``__all__`` is their one
 declaration, and the package itself re-exports nothing.  Every name a
 module imports from a sibling is used there or re-exported, and explicit
-inverses live only in `linalg`."""
+inverses and factorizations live only in `linalg`."""
 
 import ast
 import importlib
@@ -18,9 +18,13 @@ import kronfisher
 # every module but the command line, which exports nothing
 MODULES = sorted(m.name for m in pkgutil.iter_modules(kronfisher.__path__) if m.name != "cli")
 
-# benchmarks/tracing.py wraps these two in the factorizations namespace,
-# so they stay imported there although nothing in it calls them
-UNUSED_IMPORTS_ALLOWED = {("factorizations", "zf_matvec"), ("factorizations", "zf_rmatvec")}
+# benchmarks/tracing.py wraps these in the factorizations and precond
+# namespaces, so they stay imported there although nothing in them calls them
+UNUSED_IMPORTS_ALLOWED = {
+    ("factorizations", "zf_matvec"),
+    ("factorizations", "zf_rmatvec"),
+    ("precond", "inv_sqrt"),
+}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -65,9 +69,12 @@ def test_sibling_imports_are_used_or_exported():
 
 
 def test_explicit_inverses_live_in_linalg():
-    """`linalg` is the one home of an explicit inverse, so the factorization
-    that suits each matrix (Cholesky for a positive-definite one) is chosen
-    in one place."""
-    found = [path.name for path in sorted(Path(kronfisher.__file__).parent.glob("*.py"))
-             if path.name != "linalg.py" and "np.linalg.inv(" in path.read_text()]
+    """`linalg` is the one home of an explicit inverse and of the
+    factorizations behind one, so the factorization that suits each matrix
+    (Cholesky for a positive-definite one) is chosen in one place."""
+    calls = ("np.linalg.inv(", "np.linalg.cholesky(", "np.linalg.eigh(")
+    found = [(path.name, call)
+             for path in sorted(Path(kronfisher.__file__).parent.glob("*.py"))
+             if path.name != "linalg.py"
+             for call in calls if call in path.read_text()]
     assert found == []

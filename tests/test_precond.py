@@ -93,10 +93,12 @@ class TestDamping:
         assert damping_pi(np.eye(3), 4.0 * np.eye(2)) == pytest.approx(0.5)
 
     def test_degenerate_trace_logs_and_returns_one(self, caplog):
-        with caplog.at_level(logging.WARNING, logger="kronfisher.precond"):
-            pi = damping_pi(np.zeros((2, 2)), np.eye(2))
-        assert pi == 1.0
-        assert any("degenerate" in r.message for r in caplog.records)
+        for a in (np.zeros((2, 2)), np.diag([np.nan, 1.0])):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="kronfisher.precond"):
+                pi = damping_pi(a, np.eye(2))
+            assert pi == 1.0
+            assert any("degenerate" in r.message for r in caplog.records)
 
     def test_damped_pair_frozen_values(self):
         a, g = damp_pair(np.eye(3), 4.0 * np.eye(2), damping=0.04)
@@ -178,7 +180,7 @@ class TestKronSumSolve:
 
     def test_non_positive_dominant_factor_raises(self):
         rng = np.random.default_rng(5)
-        with pytest.raises(NotPositiveDefiniteError):
+        with pytest.raises(NotPositiveDefiniteError, match="^left dominant factor: "):
             kron_sum_prepare(
                 -np.eye(3), rand_spd(rng, 2), np.zeros((3, 3)), np.zeros((2, 2))
             )
@@ -365,18 +367,62 @@ class TestStateMachine:
             rebuild_cache(state, damping=1e-3)
         assert state.cache is old_cache
 
-    def test_non_pd_rank1_raises_and_keeps_the_previous_cache(self):
+    @staticmethod
+    def refuse_bad_factors(n_pairs):
+        """Rebuild a state of n_pairs pairs, then swap in dominant factors
+        no rebuild may accept; each must raise, name the factor and leave
+        the cache alone."""
         rng = np.random.default_rng(9)
+        pairs = [
+            KronPair(rand_spd(rng, 3), rand_spd(rng, 2)),
+            KronPair(rand_sym(rng, 3, 0.2), rand_sym(rng, 2, 0.2)),
+        ][:n_pairs]
         state = KronApprox()
-        update_factors(state, make_result([KronPair(rand_spd(rng, 3), rand_spd(rng, 2))]), 1, 0.95)
+        update_factors(state, make_result(pairs), 1, 0.95)
         rebuild_cache(state, damping=1e-3)
         old_cache = state.cache
-        assert isinstance(old_cache, Rank1Cache)
-        # the damping cannot lift an indefinite left factor to positive definite
-        state.pairs = (KronPair(-np.eye(3), np.eye(2)),)
-        with pytest.raises(NotPositiveDefiniteError, match="^left dominant factor: "):
-            rebuild_cache(state, damping=1e-3)
-        assert state.cache is old_cache
+        # the damping cannot lift an indefinite factor to positive definite,
+        # and Cholesky by itself passes a NaN one through
+        nan = np.diag([1.0, np.nan, 1.0])
+        for left, right, side in [
+            (-np.eye(3), np.eye(2), "left"),
+            (nan, np.eye(2), "left"),
+            (np.eye(3), nan[:2, :2], "right"),
+        ]:
+            state.pairs = (KronPair(left, right),) + state.pairs[1:]
+            with pytest.raises(NotPositiveDefiniteError, match=f"^{side} dominant factor: "):
+                rebuild_cache(state, damping=1e-3)
+            assert state.cache is old_cache
+        return old_cache
+
+    def test_non_pd_rank1_raises_and_keeps_the_previous_cache(self):
+        assert isinstance(self.refuse_bad_factors(1), Rank1Cache)
+
+    def test_non_pd_rank2_raises_and_keeps_the_previous_cache(self):
+        assert isinstance(self.refuse_bad_factors(2), Rank2Cache)
+
+    def test_ill_conditioned_pair_gives_one_direction_in_both_caches(self):
+        """A damped left factor of condition number about 5e13 is positive
+        definite, and both caches accept it: two pairs with a zero
+        corrector precondition as the dominant pair alone does."""
+        rng = np.random.default_rng(11)
+        q = np.linalg.qr(rng.standard_normal((33, 33)))[0]
+        a = (q * np.geomspace(9.8e21, 1.0, 33)) @ q.T
+        a = 0.5 * (a + a.T)
+        x = rng.standard_normal((128, 64))
+        g = x.T @ x / 128
+        vals = np.linalg.eigvalsh(damp_pair(a, g, 1e-4)[0])
+        assert 1e13 < vals[-1] / vals[0] < 1e14
+        one, two = KronApprox(), KronApprox()
+        update_factors(one, make_result([KronPair(a, g)]), 1, 0.95)
+        zero = KronPair(np.zeros((33, 33)), np.zeros((64, 64)))
+        update_factors(two, make_result([KronPair(a, g), zero]), 1, 0.95)
+        rebuild_cache(one, damping=1e-4)
+        rebuild_cache(two, damping=1e-4)
+        w = rng.standard_normal((64, 33))
+        want = precondition_layer(one, w)
+        got = precondition_layer(two, w)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_stale_cache_survives_factor_updates(self):
         rng = np.random.default_rng(10)
