@@ -1,10 +1,11 @@
 """Experiment configuration, the training harness, and grid search.
 
-Configs are JSON documents with a ``schema_version`` field; unknown keys
-are rejected so typos fail loudly.  A run is a pure function of the
-config: every random draw (weights, data, shuffling, target sampling,
-probes) comes from generators spawned off the single config seed, and the
-deterministic metric CSV plus the config echo are enough to reproduce it.
+Configs are JSON documents with a ``schema_version`` field; an unknown
+key or a value of the wrong JSON type is refused at load, so typos fail
+loudly.  A run is a pure function of the config: every random draw
+(weights, data, shuffling, target sampling, probes) comes from generators
+spawned off the single config seed, and the deterministic metric CSV plus
+the config echo are enough to reproduce it.
 
 Autoencoder convention throughout: the target of a batch is the batch.
 """
@@ -15,8 +16,9 @@ import json
 import logging
 import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -86,7 +88,7 @@ _DATASETS = ("synthetic_curves", "mnist", "synthetic_faces")
 
 @dataclass
 class ProbeSpec:
-    """Approximation-error probing along the run.
+    """Approximation-error probing of every second-order method along the run.
 
     `ExperimentConfig` settles ``layer`` at load: None becomes the layer
     just past the midpoint of the network (bottleneck-adjacent in the
@@ -97,14 +99,8 @@ class ProbeSpec:
 
     every: int = 1
     layer: int | None = None
-    methods: tuple[str, ...] = SECOND_ORDER_METHODS
 
     def __post_init__(self):
-        unknown = [m for m in self.methods if m not in SECOND_ORDER_METHODS]
-        if unknown:
-            raise ValueError(
-                f"unknown probe methods {unknown}; choose from {SECOND_ORDER_METHODS}"
-            )
         if self.every < 1:
             raise ValueError(f"probe every must be >= 1, got {self.every}")
         if self.layer is not None and self.layer < 1:
@@ -137,6 +133,8 @@ class ExperimentConfig:
             )
         if self.dataset not in _DATASETS:
             raise ValueError(f"unknown dataset {self.dataset!r}; choose from {_DATASETS}")
+        if self.dataset == "mnist" and not self.data_path:
+            raise ValueError("mnist dataset requires data_path pointing at an IDX image file")
         if self.preset:
             if self.preset not in ARCHITECTURES:
                 raise ValueError(f"unknown preset {self.preset!r}")
@@ -191,30 +189,43 @@ class RunResult:
     out_dir: Path
 
 
-def _section(raw: dict, key: str, want: str = "an object") -> dict:
-    if not isinstance(raw[key], dict):
-        raise ValueError(f"config key {key!r} must be {want}, got {type(raw[key]).__name__}")
-    return raw[key]
+def _load(kind, value, label: str, section: str):
+    """`value`, read from JSON, as the annotated type `kind`: an object may
+    hold only the dataclass's fields, an int is a valid float and a bool is
+    never a number.  `label` names the value in errors, `section` its keys."""
+    options = [t for t in get_args(kind) if t is not type(None)]
+    nullable = len(options) < len(get_args(kind))
+    if nullable:
+        if value is None:
+            return None
+        (kind,) = options
+    if is_dataclass(kind):
+        if not isinstance(value, dict):
+            want = "an object or null" if nullable else "an object"
+            raise ValueError(f"{label} must be {want}, got {type(value).__name__}")
+        hints = get_type_hints(kind)
+        unknown = set(value) - set(hints)
+        if unknown:
+            raise ValueError(f"unknown {section} keys: {sorted(unknown)}")
+        loaded = {k: _load(hints[k], v, f"{section} key {k!r}", k) for k, v in value.items()}
+        try:
+            return kind(**loaded)
+        except TypeError as exc:
+            raise ValueError(f"{section}: {exc}") from exc
+    if get_origin(kind) is list:
+        if not isinstance(value, list):
+            raise ValueError(f"{label} must be a list, got {type(value).__name__}")
+        (item,) = get_args(kind)
+        return [_load(item, v, f"{label}[{i}]", section) for i, v in enumerate(value)]
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ValueError(f"{label} must be {kind.__name__}, got {type(value).__name__}")
+    return value
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    raw = dict(raw)
-    known = set(ExperimentConfig.__dataclass_fields__)
-    unknown = set(raw) - known
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    if "optimizer" in raw:
-        opt = _section(raw, "optimizer")
-        opt_unknown = set(opt) - set(OptimizerConfig.__dataclass_fields__)
-        if opt_unknown:
-            raise ValueError(f"unknown optimizer keys: {sorted(opt_unknown)}")
-        raw["optimizer"] = OptimizerConfig(**opt)
-    if raw.get("probe") is not None:
-        probe = dict(_section(raw, "probe", "an object or null"))
-        if "methods" in probe:
-            probe["methods"] = tuple(probe["methods"])
-        raw["probe"] = ProbeSpec(**probe)
-    return ExperimentConfig(**raw)
+    """An `ExperimentConfig` from a parsed JSON document; see `_load`."""
+    return _load(ExperimentConfig, raw, "config", "config")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -237,8 +248,6 @@ def build_dataset(config: ExperimentConfig, rng: np.random.Generator) -> tuple[n
         else:
             data = gen_gaussian_blobs(n_train + n_val, seed, side=math.isqrt(width))
         return data[:n_train], data[n_train:]
-    if not config.data_path:
-        raise ValueError("mnist dataset requires data_path pointing at an IDX image file")
     if config.val_path:
         parts = [
             (config.data_path, _idx_rows(config.data_path, n_train, "n_train")),
@@ -305,10 +314,7 @@ def run_experiment(config: ExperimentConfig, write_artifacts: bool = True) -> Ru
                     extra[f"sigma2_L{i}"] = s2
                     extra[f"degenerate_L{i}"] = float(degen)
             if probe is not None and (state.iteration - 1) % probe.every == 0:
-                errors = fim_error_probe(
-                    model, x, probe.layer, methods=probe.methods, rng=rng_probe,
-                    eps=opt.svd_eps,
-                )
+                errors = fim_error_probe(model, x, probe.layer, rng=rng_probe, eps=opt.svd_eps)
                 for name, err in errors.items():
                     extra[f"err_frob_{name}"] = err.frobenius
                     extra[f"err_spec_{name}"] = err.spectral

@@ -59,7 +59,7 @@ import numpy as np
 from .linalg import mat, sym_eig, vec
 # zf_matvec and zf_rmatvec are unused here but stay importable:
 # benchmarks/tracing.py wraps them in this namespace
-from .mlp import LayerBatchStats, zf_matvec, zf_rmatvec  # noqa: F401
+from .mlp import LayerBatchStats, _layer_stats, zf_matvec, zf_rmatvec  # noqa: F401
 
 __all__ = [
     "KronPair",
@@ -120,8 +120,7 @@ class FactorResult:
 
 def kfac_factors(stats: LayerBatchStats, layer: int) -> KronPair:
     """Moment-product factors: second moments of abar and of g, separately."""
-    ab = stats.abar[layer - 1]
-    g = stats.g[layer - 1]
+    ab, g = _layer_stats(stats, layer)
     m = ab.shape[0]
     if m == 0:
         raise ValueError("empty batch")
@@ -156,8 +155,7 @@ def _gram_triplets(
     M is I/m, or (I - 11^T/m)/m when centred.  Missing or zero singular
     values come back as zero triplets.
     """
-    ab = stats.abar[layer - 1]
-    g = stats.g[layer - 1]
+    ab, g = _layer_stats(stats, layer)
     m, d = ab.shape
     dp = g.shape[1]
     weights = (np.eye(m) - (1.0 / m if centred else 0.0)) / m

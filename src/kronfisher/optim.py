@@ -18,8 +18,9 @@ The natural step at iteration k (1-based):
 
 The first-order baselines share step 1, then take a heavy-ball (sgd) or
 bias-corrected Adam update whose 1-based step is k.  The moving-average
-cap `EMA_DECAY` (KFAC's 0.95) and Adam's moments `ADAM_BETA1`,
-`ADAM_BETA2`, `ADAM_EPS` (Kingma & Ba's) are constants, not settings.
+cap `EMA_DECAY` (KFAC's 0.95), SGD's heavy-ball `SGD_MOMENTUM` (0.9) and
+Adam's moments `ADAM_BETA1`, `ADAM_BETA2`, `ADAM_EPS` (Kingma & Ba's) are
+constants, not settings.
 
 All randomness flows through explicit generators in `TrainState`, so a
 run is a pure function of (config, seeds).
@@ -58,6 +59,7 @@ SECOND_ORDER_METHODS = tuple(fz.FACTORIZERS)
 METHODS = FIRST_ORDER_METHODS + SECOND_ORDER_METHODS
 
 EMA_DECAY = 0.95
+SGD_MOMENTUM = 0.9
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -71,7 +73,6 @@ class OptimizerConfig:
     clip: float = 1e-2
     t1: int = 100
     t2: int = 100
-    momentum: float = 0.9
     batch_size: int = 256
     seed: int = 0
     # relative cutoff: a second pair with sigma_2 <= svd_eps * sigma_ref is zeroed
@@ -176,14 +177,6 @@ def adam_step(
         p -= lr * (a / c1) / (np.sqrt(b / c2) + eps)
 
 
-def _factorizer(method: str):
-    if method not in fz.FACTORIZERS:
-        raise ValueError(
-            f"unknown second-order method {method!r}; choose from {SECOND_ORDER_METHODS}"
-        )
-    return fz.FACTORIZERS[method]
-
-
 def _loss_and_grads(model: MLPModel, batch, state: TrainState):
     """Forward, mean loss and true-target backward; a non-finite loss raises."""
     x, y = batch
@@ -213,7 +206,7 @@ def natural_step(
     if refreshed:
         sampled = sample_targets(acts[-1], model.loss, state.sample_rng)
         _, stats = backward(model, acts, sampled)
-        factorize = _factorizer(config.method)
+        factorize = fz.FACTORIZERS[config.method]
         sigma1, sigma2, degenerate = [], [], []
         for i, ls in enumerate(state.layer_states, start=1):
             result = factorize(stats, i, config.svd_eps)
@@ -252,7 +245,7 @@ def first_order_step(
 ) -> StepMetrics:
     _, loss, grads = _loss_and_grads(model, batch, state)
     if config.method == "sgd":
-        sgd_step(model.weights, grads, state.velocity, config.lr, config.momentum)
+        sgd_step(model.weights, grads, state.velocity, config.lr, SGD_MOMENTUM)
     else:
         adam_step(
             model.weights,
@@ -279,20 +272,17 @@ def fim_error_probe(
     model: MLPModel,
     x: np.ndarray,
     layer: int,
-    methods: tuple[str, ...] = SECOND_ORDER_METHODS,
     *,
     rng: np.random.Generator,
     eps: float = fz.DEFAULT_EPS,
 ) -> dict[str, ProbeErrors]:
-    """Relative Fisher-approximation errors of each method on one batch.
+    """Relative Fisher-approximation errors of every `FACTORIZERS` row on one batch.
 
     Targets are sampled once from the model's predictive distribution and
     every method factors the same statistics, without moving-average
     blending, so the numbers compare approximation quality alone.  The
-    probed layer must be small enough to materialize densely.  An unknown
-    method name raises ValueError before anything is computed.
+    probed layer must be small enough to materialize densely.
     """
-    factorizers = {method: _factorizer(method) for method in methods}
     acts = forward(model, x)
     sampled = sample_targets(acts[-1], model.loss, rng)
     _, stats = backward(model, acts, sampled)
@@ -301,7 +291,7 @@ def fim_error_probe(
     spec_f = spectrum(f)
     spec_norm = float(np.linalg.norm(spec_f))
     out = {}
-    for method, factorize in factorizers.items():
+    for method, factorize in fz.FACTORIZERS.items():
         pairs = factorize(stats, layer, eps).pairs
         fhat = sum(kron(p.left, p.right) for p in pairs)
         frob = float(np.linalg.norm(f - fhat)) / f_norm

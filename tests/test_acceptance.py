@@ -320,7 +320,7 @@ class TestAcceptance:
             sgd_config = ExperimentConfig(
                 epochs=20,
                 optimizer=OptimizerConfig(
-                    method="sgd", lr=1e-2, batch_size=64, seed=11, momentum=0.9
+                    method="sgd", lr=1e-2, batch_size=64, seed=11
                 ),
                 out_dir=str(tmp_path / "sgd_grid"),
                 **base,

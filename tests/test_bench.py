@@ -3,9 +3,11 @@ experiment configs, the runner, and the command-line entry points."""
 
 import json
 import math
+import re
 import struct
 import xml.etree.ElementTree as ET
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from kronfisher.experiment import (
     load_config,
     run_experiment,
 )
-from kronfisher.optim import OptimizerConfig
+from kronfisher.optim import SECOND_ORDER_METHODS, OptimizerConfig
 from kronfisher.records import MetricRecord, emit_csv, emit_plot, emit_timings, parse_csv, record_fields
 
 
@@ -237,8 +239,8 @@ class TestExperimentConfig:
             config_from_dict({"preset": "curves_desk", "leraning_rate": 0.1})
         with pytest.raises(ValueError, match="unknown optimizer keys"):
             config_from_dict({"preset": "curves_desk", "optimizer": {"lr": 0.1, "momentm": 0.9}})
-        # the EMA cap and Adam's moments are constants in `optim`, not settings
-        for key in ("ema_decay", "beta1", "beta2", "adam_eps"):
+        # the EMA cap, SGD's momentum and Adam's moments are constants in `optim`
+        for key in ("ema_decay", "momentum", "beta1", "beta2", "adam_eps"):
             with pytest.raises(ValueError, match="unknown optimizer keys"):
                 config_from_dict({"preset": "curves_desk", "optimizer": {key: 0.5}})
 
@@ -257,14 +259,47 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=f"'{section}'"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "raw,message",
+        [
+            ({"layer_dims": [64, 32.0, 64]}, "config key 'layer_dims'[1] must be int, got float"),
+            ({"activations": "relu"}, "config key 'activations' must be a list, got str"),
+            ({"probe": {"every": False}}, "probe key 'every' must be int, got bool"),
+        ],
+        ids=["layer_dims-item", "activations-str", "every-bool"],
+    )
+    def test_wrongly_typed_values_rejected_at_load(self, raw, message):
+        """Scalars at every level are covered through the command line in
+        `test_malformed_configs_are_usage_errors`."""
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            config_from_dict({"preset": "curves_desk", **raw})
+
+    def test_int_is_a_valid_float(self):
+        config = config_from_dict({"preset": "curves_desk", "optimizer": {"lr": 1}})
+        assert config.optimizer.lr == 1
+
+    def test_non_object_config_rejected(self):
+        for raw in ([1], "curves_desk", None):
+            with pytest.raises(ValueError, match="^config must be an object, got "):
+                config_from_dict(raw)
+
+    def test_type_error_in_a_section_check_names_the_section(self, monkeypatch):
+        def post_init(self):
+            raise TypeError("boom")
+
+        monkeypatch.setattr(ProbeSpec, "__post_init__", post_init)
+        with pytest.raises(ValueError, match="^probe: boom$"):
+            config_from_dict({"preset": "curves_desk", "probe": {}})
+
     def test_null_probe_means_no_probing(self):
         assert config_from_dict({"preset": "curves_desk", "probe": None}).probe is None
 
     def test_unknown_probe_method_rejected_at_load(self):
-        with pytest.raises(ValueError, match="unknown probe methods"):
-            config_from_dict({"preset": "curves_desk", "probe": {"methods": ["kpsdv"]}})
-        with pytest.raises(ValueError, match="unknown probe methods"):
-            config_from_dict({"preset": "curves_desk", "probe": {"methods": ["kfac", "sgd"]}})
+        """The probe reports every row of the factor table, so a method list,
+        known names or not, is an unknown key."""
+        for methods in (["kpsdv"], ["kfac", "sgd"], list(SECOND_ORDER_METHODS)):
+            with pytest.raises(ValueError, match=r"unknown probe keys: \['methods'\]"):
+                config_from_dict({"preset": "curves_desk", "probe": {"methods": methods}})
 
     @pytest.mark.parametrize(
         "probe",
@@ -444,16 +479,16 @@ class TestBuildDataset:
             build_dataset(config, np.random.default_rng(0))
 
     def test_idx_dataset_requires_path(self, tmp_path):
-        config = ExperimentConfig(
-            preset="",
-            dataset="mnist",
-            layer_dims=[16, 8, 16],
-            activations=["relu", "sigmoid"],
-            loss="bce",
-            out_dir=str(tmp_path),
-        )
-        with pytest.raises(ValueError, match="data_path"):
-            build_dataset(config, np.random.default_rng(0))
+        """Refused when the config is built, not when the dataset is."""
+        with pytest.raises(ValueError, match="mnist dataset requires data_path"):
+            ExperimentConfig(
+                preset="",
+                dataset="mnist",
+                layer_dims=[16, 8, 16],
+                activations=["relu", "sigmoid"],
+                loss="bce",
+                out_dir=str(tmp_path),
+            )
 
     def test_width_mismatch_rejected(self, tmp_path):
         """A generator whose images cannot fill the input layer is refused
@@ -490,15 +525,11 @@ class TestRunExperiment:
         assert len(summary["epoch_train_loss"]) == 2
 
     def test_probe_columns_follow_period(self, tmp_path):
-        config = desk_config(
-            tmp_path,
-            epochs=1,
-            probe=ProbeSpec(every=2, methods=("kfac", "kpsvd")),
-        )
+        config = desk_config(tmp_path, epochs=1, probe=ProbeSpec(every=2))
         result = run_experiment(config, write_artifacts=False)
-        assert "err_frob_kfac" in result.records[0].extra
-        assert "err_spec_kpsvd" in result.records[0].extra
-        assert "err_frob_kfac" not in result.records[1].extra
+        probed = {f"err_{kind}_{m}" for kind in ("frob", "spec") for m in SECOND_ORDER_METHODS}
+        assert probed <= set(result.records[0].extra)
+        assert probed.isdisjoint(result.records[1].extra)
 
     def test_no_artifacts_when_disabled(self, tmp_path):
         config = desk_config(tmp_path)
@@ -781,6 +812,34 @@ class TestCli:
         assert exc.value.code == 2
         assert capsys.readouterr().err.splitlines()[-1] == f"kronfisher train: error: {message}"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "raw,message",
+        [
+            ({"epochs": "10"}, "config key 'epochs' must be int, got str"),
+            ({"n_train": 100.5}, "config key 'n_train' must be int, got float"),
+            ({"probe": {"layer": "4"}}, "probe key 'layer' must be int, got str"),
+            ({"optimizer": {"t1": 1.5}}, "optimizer key 't1' must be int, got float"),
+            ({"optimizer": {"lr": True}}, "optimizer key 'lr' must be float, got bool"),
+            ({"dataset": "mnist"},
+             "mnist dataset requires data_path pointing at an IDX image file"),
+            ({"probe": {"layr": 4}}, "unknown probe keys: ['layr']"),
+            ([1], "config must be an object, got list"),
+        ],
+        ids=["epochs-str", "n_train-float", "layer-str", "t1-float", "lr-bool", "mnist-no-path",
+             "probe-typo", "top-level-list"],
+    )
+    def test_malformed_configs_are_usage_errors(self, tmp_path, monkeypatch, capsys, raw, message):
+        """One error line and exit 2, with nothing written: no traceback,
+        and no run on a value that was silently coerced."""
+        monkeypatch.chdir(tmp_path)
+        Path("config.json").write_text(json.dumps(raw))
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--config", "config.json"])
+        assert exc.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert errors == [f"kronfisher train: error: {message}"]
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     def test_probe_subcommand_prints_errors(self, tmp_path, capsys):
         rc = main(

@@ -16,6 +16,7 @@ from numpy.testing import assert_allclose
 from conftest import make_model_stats, rand_spd, rand_sym, zigzag_oracle
 from kronfisher.factorizations import (
     DEFAULT_EPS,
+    FACTORIZERS,
     deflation_factors,
     kfac_corrected_factors,
     kfac_factors,
@@ -424,6 +425,15 @@ class TestDegenerateBatches:
                     assert np.all(np.isfinite(pair.right))
                 assert np.all(res.pairs[-1].right == 0.0)
             assert deflation_factors(stats, layer).degenerate
+
+    @pytest.mark.parametrize("method", FACTORIZERS)
+    def test_layer_outside_the_network_raises(self, method):
+        """Layer 0 must not wrap round to the last layer, nor n + 1 end in
+        a bare IndexError."""
+        _, _, stats = make_model_stats(np.random.default_rng(34), dims=(4, 3, 2))
+        for layer in (0, 3):
+            with pytest.raises(ValueError, match=rf"^layer {layer} out of range 1\.\.2$"):
+                FACTORIZERS[method](stats, layer, DEFAULT_EPS)
 
 
 class TestMatrixFreeDiscipline:

@@ -11,6 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import make_model_stats
+from kronfisher.factorizations import FACTORIZERS
 from kronfisher.linalg import kron, vec
 from kronfisher.mlp import backward, forward, init_mlp, sample_targets
 from kronfisher.optim import (
@@ -286,11 +287,14 @@ class TestErrorProbe:
             assert a[m].frobenius == b[m].frobenius
             assert a[m].spectral == b[m].spectral
 
-    def test_unknown_method_raises(self):
-        """Every name must be a row of the factor table; none falls through to another."""
+    def test_reports_every_row_of_the_factor_table(self):
+        """One entry per row of `FACTORIZERS`, in its order, and no layer
+        outside the network."""
         rng = np.random.default_rng(13)
         model = tiny_model(rng)
         x = rng.random((6, 4))
-        for methods in (("kpsdv",), ("sgd",), ("kpsdv", "sgd", "kfac_corrected")):
-            with pytest.raises(ValueError, match="kfac_corrected"):
-                fim_error_probe(model, x, layer=1, methods=methods, rng=np.random.default_rng(0))
+        errs = fim_error_probe(model, x, layer=1, rng=np.random.default_rng(0))
+        assert tuple(errs) == SECOND_ORDER_METHODS == tuple(FACTORIZERS)
+        for layer in (0, 3):
+            with pytest.raises(ValueError, match=rf"layer {layer} out of range 1\.\.2"):
+                fim_error_probe(model, x, layer=layer, rng=np.random.default_rng(0))

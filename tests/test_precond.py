@@ -16,6 +16,7 @@ from numpy.testing import assert_allclose
 from conftest import rand_spd, rand_sym
 from kronfisher.factorizations import FactorResult, KronPair
 from kronfisher.linalg import NotPositiveDefiniteError, kron, vec
+from kronfisher.optim import EMA_DECAY
 from kronfisher.precond import (
     KronApprox,
     Rank1Cache,
@@ -261,6 +262,74 @@ class TestKlClip:
     def test_bad_clip_raises(self):
         with pytest.raises(ValueError):
             kl_clip([], [], 0.0)
+
+
+@st.composite
+def refresh_sequences(draw):
+    """(ks, results): factor refreshes at increasing 1-based iterations
+    from k = 1, each bringing the same number of pairs, one or two.
+
+    Dominant pairs are positive semidefinite, often singular; second pairs
+    are symmetric and may be indefinite.  Gaps between refreshes reach past
+    the warm-up, so the EMA cap takes effect."""
+    n_pairs = draw(st.integers(1, 2))
+    d, dp = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    gaps = draw(st.lists(st.integers(1, 40), max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def psd(n):
+        x = rng.standard_normal((n, int(rng.integers(1, n + 1))))
+        return 0.5 * (x @ x.T + (x @ x.T).T)
+
+    ks = [1 + sum(gaps[:i]) for i in range(len(gaps) + 1)]
+    results = []
+    for _ in ks:
+        pairs = [KronPair(psd(d), psd(dp))]
+        if n_pairs == 2:
+            pairs.append(KronPair(rand_sym(rng, d), rand_sym(rng, dp)))
+        results.append(make_result(pairs))
+    return ks, results
+
+
+class TestAveragedStateProperties:
+    """After refreshes at k_1 = 1 < k_2 < ... the state holds, per factor,
+    sum_j w_j F_j with w_j = (1 - rho_j) prod_{i > j} rho_i and
+    rho_j = min(1 - 1/k_j, EMA_DECAY)."""
+
+    @PROPERTY_SETTINGS
+    @given(refresh_sequences())
+    def test_state_is_the_closed_form_blend(self, seq):
+        ks, results = seq
+        state = KronApprox()
+        for k, result in zip(ks, results):
+            update_factors(state, result, k, EMA_DECAY)
+        rho = [min(1.0 - 1.0 / k, EMA_DECAY) for k in ks]
+        weights = [(1.0 - rho[j]) * np.prod(rho[j + 1:]) for j in range(len(ks))]
+        assert len(state.pairs) == len(results[0].pairs)
+        for i, pair in enumerate(state.pairs):
+            for side in ("left", "right"):
+                drawn = [getattr(r.pairs[i], side) for r in results]
+                want = sum(w * f for w, f in zip(weights, drawn))
+                got = getattr(pair, side)
+                scale = max(np.abs(f).max() for f in drawn)
+                assert_allclose(got, want, rtol=0.0, atol=1e-13 * scale)
+                assert np.array_equal(got, got.T)
+                if i == 0:
+                    assert np.linalg.eigvalsh(got).min() >= -1e-13 * scale
+
+    @PROPERTY_SETTINGS
+    @given(refresh_sequences())
+    def test_a_change_in_pair_count_is_refused(self, seq):
+        ks, results = seq
+        state = KronApprox()
+        for k, result in zip(ks, results):
+            update_factors(state, result, k, EMA_DECAY)
+        held = state.pairs
+        n = len(held)
+        other = make_result([results[-1].pairs[0]] * (3 - n))
+        with pytest.raises(ValueError, match=f"state holds {n} pairs, refresh brought {3 - n}"):
+            update_factors(state, other, ks[-1] + 1, EMA_DECAY)
+        assert state.pairs is held
 
 
 class TestStateMachine:

@@ -1,15 +1,18 @@
 """The README's examples stay in step with the code: its library example
-runs, its JSON configs load, and its command lines parse."""
+runs, its JSON configs load, its command lines parse, and the config keys
+it lists are the config's fields."""
 
 import json
 import re
 import shlex
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from kronfisher.cli import build_parser
-from kronfisher.experiment import config_from_dict
+from kronfisher.experiment import ProbeSpec, config_from_dict
+from kronfisher.optim import OptimizerConfig
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -47,3 +50,14 @@ def test_command_line_parses(line):
 def test_examples_are_found():
     """An empty match would pass the tests above without checking anything."""
     assert blocks("json") and command_lines()
+
+
+@pytest.mark.parametrize(
+    "listing,section",
+    [(r"The `optimizer` object accepts (.*?) \(", OptimizerConfig),
+     (r"`probe` is an object with (.*?), or `null`", ProbeSpec)],
+    ids=["optimizer", "probe"],
+)
+def test_listed_section_keys_are_the_fields(listing, section):
+    (listed,) = re.findall(listing, " ".join(README.split()))
+    assert re.findall(r"`(\w+)`", listed) == [f.name for f in fields(section)]
