@@ -23,7 +23,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .datasets import gen_gaussian_blobs, gen_synthetic_curves, load_idx
-from .mlp import MAX_DENSE_BLOCK, init_mlp, batch_loss, forward
+from .mlp import MAX_DENSE_BLOCK, batch_loss, check_architecture, forward, init_mlp
 from .optim import (
     OptimizerConfig,
     SECOND_ORDER_METHODS,
@@ -147,6 +147,7 @@ class ExperimentConfig:
                 self.loss = arch["loss"]
         if not self.layer_dims or not self.activations or not self.loss:
             raise ValueError("architecture underspecified: need layer_dims, activations, loss")
+        check_architecture(self.layer_dims, self.activations, self.loss)
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.n_train < 1 or self.n_val < 0:

@@ -15,7 +15,8 @@ forming it either.
 
 Layer indices in the public functions are 1-based (layer 1 consumes the
 network input).  The bce loss reads the output as Bernoulli means, so a
-bce network must end in a sigmoid layer; `MLPModel` refuses any other.
+bce network must end in a sigmoid layer; `check_architecture`, which
+`MLPModel` and the experiment config both run, refuses any other.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .linalg import vec
 __all__ = [
     "ACTIVATIONS",
     "LOSSES",
+    "check_architecture",
     "MLPModel",
     "LayerBatchStats",
     "init_mlp",
@@ -50,6 +52,25 @@ MAX_DENSE_BLOCK = 2500
 _LOG_EPS = 1e-12
 
 
+def check_architecture(layer_dims: list[int], activations: list[str], loss: str) -> None:
+    """Refuse a network that cannot be built: fewer than two widths, an
+    activation count other than the layer count, an unknown activation or
+    loss, or bce without a sigmoid output layer."""
+    if len(layer_dims) < 2:
+        raise ValueError("need at least an input and an output layer")
+    if len(activations) != len(layer_dims) - 1:
+        raise ValueError(
+            f"{len(layer_dims) - 1} layers need as many activations, got {len(activations)}"
+        )
+    for kind in activations:
+        if kind not in ACTIVATIONS:
+            raise ValueError(f"unknown activation {kind!r}; choose from {ACTIVATIONS}")
+    if loss not in LOSSES:
+        raise ValueError(f"unknown loss {loss!r}; choose from {LOSSES}")
+    if loss == "bce" and activations[-1] != "sigmoid":
+        raise ValueError(f"bce needs a sigmoid output layer, got {activations[-1]!r}")
+
+
 @dataclass
 class MLPModel:
     """Weights plus the activation and loss choices that define the network."""
@@ -60,24 +81,14 @@ class MLPModel:
     loss: str
 
     def __post_init__(self):
+        check_architecture(self.layer_dims, self.activations, self.loss)
         dims = self.layer_dims
-        if len(dims) < 2:
-            raise ValueError("need at least an input and an output layer")
-        if len(self.weights) != len(dims) - 1 or len(self.activations) != len(dims) - 1:
-            raise ValueError("one weight matrix and one activation per layer required")
+        if len(self.weights) != len(dims) - 1:
+            raise ValueError("one weight matrix per layer required")
         for i, w in enumerate(self.weights):
             want = (dims[i + 1], dims[i] + 1)
             if w.shape != want:
                 raise ValueError(f"layer {i + 1}: weight shape {w.shape}, expected {want}")
-        for kind in self.activations:
-            if kind not in ACTIVATIONS:
-                raise ValueError(f"unknown activation {kind!r}")
-        if self.loss not in LOSSES:
-            raise ValueError(f"unknown loss {self.loss!r}")
-        if self.loss == "bce" and self.activations[-1] != "sigmoid":
-            raise ValueError(
-                f"bce needs a sigmoid output layer, got {self.activations[-1]!r}"
-            )
 
     @property
     def n_layers(self) -> int:
@@ -123,13 +134,10 @@ def _activate(kind: str, s: np.ndarray) -> np.ndarray:
     if kind == "relu":
         return np.maximum(s, 0.0)
     if kind == "sigmoid":
-        # split by sign so exp never overflows
-        out = np.empty_like(s)
-        pos = s >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-s[pos]))
-        es = np.exp(s[~pos])
-        out[~pos] = es / (1.0 + es)
-        return out
+        # e = exp(-|s|) <= 1 never overflows: 1/(1+e) for s >= 0, e/(1+e) below
+        e = np.exp(-np.abs(s))
+        ep1 = 1.0 + e
+        return np.where(s >= 0, 1.0 / ep1, e / ep1)
     return s
 
 

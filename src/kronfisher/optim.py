@@ -2,22 +2,27 @@
 
 The natural step at iteration k (1-based):
 
-1. forward on the batch, backward with the true targets for the loss
-   gradient;
-2. on factor-refresh iterations (k == 1 or k % t1 == 0), backward a
-   second time with targets sampled from the model's own predictive
-   distribution, reusing the same forward pass, and refresh each layer's
-   factor pairs with the method's row of `factorizations.FACTORIZERS`
-   (exact solves, blended into a moving average);
+1. forward on the batch and the mean loss;
+2. on factor-refresh iterations (k == 1 or k % t1 == 0), backward with
+   targets sampled from the model's own predictive distribution,
+   reusing the same forward pass, and refresh each layer's factor pairs
+   with the method's row of `factorizations.FACTORIZERS` (exact solves,
+   blended into a moving average);
 3. on inverse-refresh iterations (k == 1 or k % t2 == 0), rebuild the
    damped inverse caches; a layer holding two pairs gets the two-term
    congruence solve, one holding a single pair the plain Kronecker
    inverse;
-4. precondition the layer gradients with the cached inverses, scale by
-   the trust-region factor, and descend.
+4. backward with the true targets, precondition the layer gradients
+   with the cached inverses, handing each layer its per-sample rows so
+   a wide layer can take the cheaper order
+   (`precond.precondition_layer`), scale by the trust-region factor,
+   and descend.
 
-The first-order baselines share step 1, then take a heavy-ball (sgd) or
-bias-corrected Adam update whose 1-based step is k.  The moving-average
+The true-target backward comes last so that its per-sample rows are
+never held at the same time as the sampled ones or a rebuild's
+temporaries.  The first-order baselines share step 1, then backward
+with the true targets and take a heavy-ball (sgd) or bias-corrected
+Adam update whose 1-based step is k.  The moving-average
 cap `EMA_DECAY` (KFAC's 0.95), SGD's heavy-ball `SGD_MOMENTUM` (0.9) and
 Adam's moments `ADAM_BETA1`, `ADAM_BETA2`, `ADAM_EPS` (Kingma & Ba's) are
 constants, not settings.
@@ -83,6 +88,10 @@ class OptimizerConfig:
             raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
         if self.lr <= 0.0:
             raise ValueError("lr must be > 0")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.method in SECOND_ORDER_METHODS:
             if self.damping <= 0.0:
                 raise ValueError("damping must be > 0 for second-order methods")
@@ -177,8 +186,8 @@ def adam_step(
         p -= lr * (a / c1) / (np.sqrt(b / c2) + eps)
 
 
-def _loss_and_grads(model: MLPModel, batch, state: TrainState):
-    """Forward, mean loss and true-target backward; a non-finite loss raises."""
+def _forward_loss(model: MLPModel, batch, state: TrainState):
+    """Forward and mean loss; a non-finite loss raises."""
     x, y = batch
     acts = forward(model, x)
     loss = batch_loss(acts[-1], y, model.loss)
@@ -187,8 +196,7 @@ def _loss_and_grads(model: MLPModel, batch, state: TrainState):
             f"non-finite loss {loss} at iteration {state.iteration + 1}; "
             f"weight norms {[float(np.linalg.norm(w)) for w in model.weights]}"
         )
-    grads, _ = backward(model, acts, y)
-    return acts, loss, grads
+    return acts, loss
 
 
 def natural_step(
@@ -198,7 +206,7 @@ def natural_step(
     config: OptimizerConfig,
 ) -> StepMetrics:
     """One preconditioned descent step; see the module docstring for the protocol."""
-    acts, loss, grads = _loss_and_grads(model, batch, state)
+    acts, loss = _forward_loss(model, batch, state)
     k = state.iteration + 1
 
     refreshed = k == 1 or k % config.t1 == 0
@@ -214,16 +222,21 @@ def natural_step(
             sigma1.append(result.sigma(0))
             sigma2.append(result.sigma(1) if len(result.triplets) > 1 else float("nan"))
             degenerate.append(result.degenerate)
+        del stats
 
     rebuilt = k == 1 or k % config.t2 == 0
     if rebuilt:
         for ls in state.layer_states:
             rebuild_cache(ls, config.damping)
 
-    precond = [precondition_layer(ls, g) for ls, g in zip(state.layer_states, grads)]
-    nu, scaled = kl_clip(precond, grads, config.clip)
-    for w, d in zip(model.weights, scaled):
-        w -= config.lr * d
+    grads, rows = backward(model, acts, batch[1])
+    precond = [
+        precondition_layer(ls, g, layer_rows)
+        for ls, g, layer_rows in zip(state.layer_states, grads, zip(rows.abar, rows.g))
+    ]
+    nu = kl_clip(precond, grads, config.clip)
+    for w, p in zip(model.weights, precond):
+        w -= (config.lr * nu) * p
     state.iteration = k
     return StepMetrics(
         loss=loss,
@@ -243,7 +256,8 @@ def first_order_step(
     state: TrainState,
     config: OptimizerConfig,
 ) -> StepMetrics:
-    _, loss, grads = _loss_and_grads(model, batch, state)
+    acts, loss = _forward_loss(model, batch, state)
+    grads, _ = backward(model, acts, batch[1])
     if config.method == "sgd":
         sgd_step(model.weights, grads, state.velocity, config.lr, SGD_MOMENTUM)
     else:

@@ -241,7 +241,7 @@ class TestAcceptance:
             assert_allclose(out.left, new.left)
 
             c = 1e-2
-            nu, _ = kl_clip([np.array([2.0 * c])], [np.array([2.0])], c)
+            nu = kl_clip([np.array([2.0 * c])], [np.array([2.0])], c)
             assert nu == pytest.approx(0.5)
 
     def test_08_gradient_check(self):

@@ -65,6 +65,31 @@ class TestCurveGenerator:
         data = gen_synthetic_curves(64, seed=0, side=side)
         assert 0.02 < data.mean() < 0.5
 
+    @pytest.mark.parametrize(
+        "n,side,seed", [(5, 8, 3), (70, 8, 5), (3, 28, 0), (4, 3, 7), (0, 8, 1)]
+    )
+    def test_matches_a_per_image_loop(self, n, side, seed):
+        """Bit for bit what drawing and splatting one image at a time gives:
+        four `np.add.at` passes per image, top-left corners first."""
+        rng = np.random.default_rng(seed)
+        t = np.linspace(0.0, 1.0, 8 * side)
+        basis = np.stack([(1 - t) ** 3, 3 * t * (1 - t) ** 2, 3 * t ** 2 * (1 - t), t ** 3], 1)
+        want = np.zeros((n, side, side))
+        for img in want:
+            pts = basis @ rng.uniform(0.1 * side, 0.9 * side, size=(4, 2))
+            x = np.clip(pts[:, 0], 0.0, side - 1.001)
+            y = np.clip(pts[:, 1], 0.0, side - 1.001)
+            ix, iy = x.astype(np.intp), y.astype(np.intp)
+            fx, fy = x - ix, y - iy
+            np.add.at(img, (iy, ix), (1 - fx) * (1 - fy))
+            np.add.at(img, (iy, ix + 1), fx * (1 - fy))
+            np.add.at(img, (iy + 1, ix), (1 - fx) * fy)
+            np.add.at(img, (iy + 1, ix + 1), fx * fy)
+        np.clip(want, 0.0, 1.0, out=want)
+        got = gen_synthetic_curves(n, seed, side=side)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, want.reshape(n, side * side))
+
     def test_blobs_shape_and_range(self):
         a = gen_gaussian_blobs(4, seed=1, side=25)
         b = gen_gaussian_blobs(4, seed=1, side=25)
@@ -825,9 +850,18 @@ class TestCli:
              "mnist dataset requires data_path pointing at an IDX image file"),
             ({"probe": {"layr": 4}}, "unknown probe keys: ['layr']"),
             ([1], "config must be an object, got list"),
+            ({"activations": ["relu"] * 6}, "bce needs a sigmoid output layer, got 'relu'"),
+            ({"activations": ["relu", "sigmoid"]}, "6 layers need as many activations, got 2"),
+            ({"activations": ["relu"] * 5 + ["tanh"]},
+             "unknown activation 'tanh'; choose from ('relu', 'sigmoid', 'linear')"),
+            ({"loss": "xent"}, "unknown loss 'xent'; choose from ('bce', 'mse')"),
+            ({"layer_dims": [64]}, "need at least an input and an output layer"),
+            ({"optimizer": {"method": "sgd", "batch_size": 0}}, "batch_size must be >= 1, got 0"),
+            ({"optimizer": {"seed": -1}}, "seed must be >= 0, got -1"),
         ],
         ids=["epochs-str", "n_train-float", "layer-str", "t1-float", "lr-bool", "mnist-no-path",
-             "probe-typo", "top-level-list"],
+             "probe-typo", "top-level-list", "bce-relu-output", "activation-count",
+             "unknown-activation", "unknown-loss", "one-width", "batch-size-0", "seed-negative"],
     )
     def test_malformed_configs_are_usage_errors(self, tmp_path, monkeypatch, capsys, raw, message):
         """One error line and exit 2, with nothing written: no traceback,

@@ -13,6 +13,7 @@ from conftest import make_model_stats, zigzag_oracle
 from kronfisher.linalg import vec
 from kronfisher.mlp import (
     LayerBatchStats,
+    _activate,
     backward,
     batch_loss,
     exact_fim_block,
@@ -111,6 +112,24 @@ class TestForward:
         model = init_mlp([4, 3], ["linear"], "mse", np.random.default_rng(0))
         with pytest.raises(ValueError):
             forward(model, np.zeros((2, 5)))
+
+
+class TestSigmoid:
+    def test_matches_the_two_branch_form_bit_for_bit(self):
+        """1/(1+exp(-s)) where s >= 0 and exp(s)/(1+exp(s)) below, gathered
+        by sign; extreme inputs raise no floating-point overflow."""
+        rng = np.random.default_rng(3)
+        s = rng.standard_normal((256, 784)) * 30.0
+        s[0, :10] = [0.0, -0.0, 800.0, -800.0, 710.0, -710.0, 1e-300, -1e-300, np.inf, -np.inf]
+        want = np.empty_like(s)
+        pos = s >= 0
+        want[pos] = 1.0 / (1.0 + np.exp(-s[pos]))
+        es = np.exp(s[~pos])
+        want[~pos] = es / (1.0 + es)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = _activate("sigmoid", s)
+        assert np.array_equal(got, want)
+        assert got[0, 2] == 1.0 and got[0, 3] == 0.0
 
 
 class TestBackward:

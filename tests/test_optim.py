@@ -11,6 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import make_model_stats
+from kronfisher import optim
 from kronfisher.factorizations import FACTORIZERS
 from kronfisher.linalg import kron, vec
 from kronfisher.mlp import backward, forward, init_mlp, sample_targets
@@ -25,7 +26,7 @@ from kronfisher.optim import (
     sgd_step,
     train_step,
 )
-from kronfisher.precond import Rank1Cache, Rank2Cache, damp_pair
+from kronfisher.precond import Rank1Cache, Rank2Cache, damp_pair, precondition_layer
 
 
 def tiny_model(rng, loss="bce", dims=(4, 3, 2)):
@@ -198,6 +199,43 @@ class TestNaturalStepDirection:
                 dense = dense + kron(extra.left, extra.right)
             want = np.linalg.solve(dense, vec(grads[i]))
             assert_allclose(vec(metrics.precond[i]), want, rtol=1e-6, atol=1e-10)
+
+    @pytest.mark.parametrize("method", ["kfac", "kfac_corrected"])
+    def test_wide_layers_take_the_rows_order(self, method, monkeypatch):
+        """A net wider than its batch: both layers clear the apply-order
+        rule, the step hands each layer its true-target rows, and the
+        direction is still the dense damped solve."""
+        handed = []
+
+        def recording(state, grad_w, rows=None):
+            handed.append(rows)
+            return precondition_layer(state, grad_w, rows)
+
+        monkeypatch.setattr(optim, "precondition_layer", recording)
+        rng = np.random.default_rng(7)
+        model = tiny_model(rng, dims=(40, 30, 40))
+        m = 8
+        for dp, d1 in zip(model.layer_dims[1:], model.layer_dims[:-1]):
+            d = d1 + 1
+            assert m * (d * d + dp * dp + d * dp) < d * dp * (d + dp)
+        batch = tiny_batch(rng, model, m=m)
+        frozen = copy.deepcopy(model)
+        config = OptimizerConfig(method=method, lr=1e-2, t1=1, t2=1)
+        state = init_train_state(model, config)
+        metrics = natural_step(model, batch, state, config)
+
+        grads, stats = backward(frozen, forward(frozen, batch[0]), batch[1])
+        assert len(handed) == 2
+        for rows, abar, g in zip(handed, stats.abar, stats.g):
+            assert np.array_equal(rows[0], abar) and np.array_equal(rows[1], g)
+        for i, ls in enumerate(state.layer_states):
+            a_d, g_d = damp_pair(ls.pairs[0].left, ls.pairs[0].right, config.damping)
+            dense = kron(a_d, g_d)
+            for extra in ls.pairs[1:]:
+                dense = dense + kron(extra.left, extra.right)
+            want = np.linalg.solve(dense, vec(grads[i]))
+            err = np.linalg.norm(vec(metrics.precond[i]) - want) / np.linalg.norm(want)
+            assert err <= 1e-10, (i, err)
 
     def test_weight_update_applies_clipped_direction(self):
         rng = np.random.default_rng(6)

@@ -236,19 +236,89 @@ class TestKronSumProperties:
         )
 
 
+def rows_cheaper(m, d, dp):
+    """The apply-order rule, restated: the rows order saves multiply-adds."""
+    return m * (d * d + dp * dp + d * dp) < d * dp * (d + dp)
+
+
+@st.composite
+def layer_rows(draw):
+    """(state, abar, g): a one- or two-pair cache and m per-sample rows,
+    with m drawn both below and above min(d, dp).  The caches are well
+    conditioned, so the two evaluation orders agree to rounding."""
+    d = draw(st.integers(1, 9))
+    dp = draw(st.integers(1, 9))
+    m = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        cache = kron_sum_prepare(
+            rand_spd(rng, d), rand_spd(rng, dp), rand_sym(rng, d, 0.05), rand_sym(rng, dp, 0.05)
+        )
+    else:
+        cache = Rank1Cache(rand_spd(rng, d), rand_spd(rng, dp))
+    return KronApprox(cache=cache), rng.standard_normal((m, d)), rng.standard_normal((m, dp))
+
+
+class TestApplyOrder:
+    @given(layer_rows())
+    @PROPERTY_SETTINGS
+    def test_rows_order_is_the_dense_product(self, case):
+        state, abar, g = case
+        (m, d), dp = abar.shape, g.shape[1]
+        grad = g.T @ abar / m
+        got = precondition_layer(state, grad, (abar, g))
+        cache = state.cache
+        if isinstance(cache, Rank1Cache):
+            dense = cache.g_inv @ grad @ cache.a_inv
+        else:
+            dense = kron_sum_apply(cache, grad)
+        if rows_cheaper(m, d, dp):
+            assert np.linalg.norm(got - dense) <= 1e-12 * np.linalg.norm(dense)
+        else:
+            assert np.array_equal(got, dense)
+        assert np.array_equal(precondition_layer(state, grad), dense)
+
+    def test_draws_take_both_orders(self):
+        for want in (True, False):
+            find(
+                layer_rows(),
+                lambda c: rows_cheaper(c[1].shape[0], c[1].shape[1], c[2].shape[1]) == want,
+                settings=PROPERTY_SETTINGS,
+            )
+
+    @pytest.mark.parametrize(
+        "m,d,dp,rows_order",
+        [
+            (1, 3, 3, True),
+            (2, 3, 3, False),  # a tie keeps the dense order
+            (256, 785, 400, True),  # curves L1
+            (256, 401, 784, True),  # curves L12
+            (256, 401, 200, False),  # curves L2
+            (64, 65, 32, False),  # curves_desk L1
+        ],
+    )
+    def test_rule_picks_the_cheaper_order(self, m, d, dp, rows_order):
+        """Rows of zeros against a gradient of ones show which order ran."""
+        state = KronApprox(cache=Rank1Cache(np.eye(d), np.eye(dp)))
+        out = precondition_layer(state, np.ones((dp, d)), (np.zeros((m, d)), np.zeros((m, dp))))
+        assert (not out.any()) == rows_order
+
+
 class TestKlClip:
     def test_worked_example_half(self):
         c = 1e-2
         p = [np.array([[2.0 * c]])]
         g = [np.array([[2.0]])]
-        nu, scaled = kl_clip(p, g, c)
+        nu = kl_clip(p, g, c)
+        scaled = [nu * q for q in p]
         assert nu == pytest.approx(0.5)
         assert_allclose(scaled[0], 0.5 * p[0])
 
     def test_within_trust_region_passes_through(self):
         p = [np.array([1e-3])]
         g = [np.array([1e-3])]
-        nu, scaled = kl_clip(p, g, 1e-2)
+        nu = kl_clip(p, g, 1e-2)
+        scaled = [nu * q for q in p]
         assert nu == 1.0
         assert_allclose(scaled[0], p[0])
 
@@ -256,7 +326,7 @@ class TestKlClip:
         c = 1e-2
         p = [np.array([1.0]), np.array([-1.0])]
         g = [np.array([2.0 * c]), np.array([2.0 * c])]
-        nu, _ = kl_clip(p, g, c)
+        nu = kl_clip(p, g, c)
         assert nu == pytest.approx(0.5)
 
     def test_bad_clip_raises(self):
