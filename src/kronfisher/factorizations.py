@@ -23,13 +23,18 @@ two names for the same two-term solve; the best two-term sum is the
 top-two truncated SVD whichever way it is computed.
 
 The solve needs only the m x m Gram matrices K_a = (Abar Abar^T)**2 and
-K_g = (G G^T)**2 (entrywise squares).  The top eigenpairs (sigma^2, w) of
-K_g^1/2 M K_a M K_g^1/2 give y = M K_g^1/2 w / sigma and
-c = M K_a y / sigma, and the singular vectors fold to
-mat(u) = Abar^T diag(y) Abar and mat(v) = G^T diag(c) G.  Neither the
-Fisher block nor Z is ever formed; the cost is
-O(m^2 (d + dp) + m^3 + m (d^2 + dp^2)) with no iterations and no
-tolerance.  Sigma is resolved only down to
+K_g = (G G^T)**2 (entrywise squares).  For any square R with
+R R^T = K_g, the top eigenpairs (sigma^2, w) of R^T M K_a M R give
+y = M R w / sigma and c = M K_a y / sigma, and the singular vectors fold
+to mat(u) = Abar^T diag(y) Abar and mat(v) = G^T diag(c) G.  The two
+sides may trade places, so R factors the wider side's Gram matrix: a
+width-w Gram matrix has rank up to w(w+1)/2, so that side is positive
+definite most often, and then R is its Cholesky factor
+(`linalg.psd_factor`); a singular one falls back to its eigenvalue
+square root.  Neither the Fisher block nor Z is ever formed; the cost is
+O(m^2 (d + dp) + m^3 + m (d^2 + dp^2)), one m x m Cholesky and one
+m x m eigendecomposition (two when Cholesky refuses), with no
+iterations and no tolerance.  Sigma is resolved only down to
 about 1e-8 * sigma_1 (it is the square root of an eigenvalue), so a
 second pair below ``eps`` times the reference sigma is reported as
 degenerate and zeroed.
@@ -56,7 +61,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import mat, sym_eig, vec
+from .linalg import mat, psd_factor, sym_eig, vec
 # zf_matvec and zf_rmatvec are unused here but stay importable:
 # benchmarks/tracing.py wraps them in this namespace
 from .mlp import LayerBatchStats, _layer_stats, zf_matvec, zf_rmatvec  # noqa: F401
@@ -147,30 +152,42 @@ def _fold(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return _sym(x.T @ (weights[:, None] * x))
 
 
+def _apply_m(x: np.ndarray, centred: bool) -> np.ndarray:
+    """M x without forming M: I/m, or (I - 11^T/m)/m when centred."""
+    m = x.shape[0]
+    return (x - x.mean(axis=0)) / m if centred else x / m
+
+
 def _gram_triplets(
     stats: LayerBatchStats, layer: int, terms: int, centred: bool = False
 ) -> list[SingularTriplet]:
     """Top singular triplets of Z = P M Q^T, exactly, from m x m Gram matrices.
 
-    M is I/m, or (I - 11^T/m)/m when centred.  Missing or zero singular
-    values come back as zero triplets.
+    M is I/m, or (I - 11^T/m)/m when centred.  The wider side's Gram
+    matrix K is factored as r r^T (K_a when d > dp, else K_g); with
+    b = M r and the top eigenpairs (sigma^2, w) of b^T K_other b,
+    ``first = b w / sigma`` weighs the other side's rows and
+    ``second = M K_other first / sigma`` the factored side's.  Missing or
+    zero singular values come back as zero triplets.
     """
     ab, g = _layer_stats(stats, layer)
     m, d = ab.shape
     dp = g.shape[1]
-    weights = (np.eye(m) - (1.0 / m if centred else 0.0)) / m
     ka = (ab @ ab.T) ** 2
-    vals, vecs = sym_eig((g @ g.T) ** 2)
-    b = weights @ ((vecs * np.sqrt(np.maximum(vals, 0.0))) @ vecs.T)
-    s2, w = sym_eig(_sym(b.T @ ka @ b))
+    kg = (g @ g.T) ** 2
+    factor_a = d > dp
+    k_root, k_other = (ka, kg) if factor_a else (kg, ka)
+    b = _apply_m(psd_factor(k_root), centred)
+    s2, w = sym_eig(_sym(b.T @ k_other @ b))
     out = []
     for i in range(terms):
         sigma = float(np.sqrt(max(s2[i], 0.0))) if i < m else 0.0
         if sigma == 0.0:
             out.append(SingularTriplet(0.0, np.zeros(d * d), np.zeros(dp * dp)))
             continue
-        y = b @ w[:, i] / sigma
-        c = weights @ (ka @ y) / sigma
+        first = b @ w[:, i] / sigma
+        second = _apply_m(k_other @ first, centred) / sigma
+        y, c = (second, first) if factor_a else (first, second)
         left = _fold(ab, y)
         if np.trace(left) < 0.0:
             left, c = -left, -c

@@ -20,6 +20,7 @@ __all__ = [
     "mat",
     "zigzag",
     "sym_eig",
+    "psd_factor",
     "inv_sqrt",
     "inv_chol",
     "spd_inv",
@@ -100,6 +101,21 @@ def sym_eig(m: np.ndarray) -> SymEig:
     vals, vecs = np.linalg.eigh(m)
     order = np.argsort(vals)[::-1]
     return SymEig(vals[order], vecs[:, order])
+
+
+def psd_factor(m: np.ndarray) -> np.ndarray:
+    """Square r with r r^T = m, for a symmetric positive-semidefinite m.
+
+    r is the lower Cholesky factor when Cholesky accepts m, and otherwise
+    the symmetric square root from `sym_eig` with negative eigenvalues
+    clamped to 0 (a singular m, or rounding just below zero).
+    """
+    m = np.asarray(m, dtype=np.float64)
+    try:
+        return np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        vals, vecs = sym_eig(m)
+        return (vecs * np.sqrt(np.maximum(vals, 0.0))) @ vecs.T
 
 
 def _clamped_eigenvalues(vals: np.ndarray) -> np.ndarray:

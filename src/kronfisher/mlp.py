@@ -204,12 +204,15 @@ def backward(
     model: MLPModel,
     activations: list[np.ndarray],
     targets: np.ndarray,
-) -> tuple[list[np.ndarray], LayerBatchStats]:
+    *,
+    grads: bool = True,
+) -> tuple[list[np.ndarray] | None, LayerBatchStats]:
     """Batch-averaged weight gradients plus the per-sample stats behind them.
 
     ``activations`` is the list produced by `forward` for the same weights.
     The returned gradients are of the mean loss; the stats keep per-sample
-    rows so Fisher blocks can be assembled from them afterwards.
+    rows so Fisher blocks can be assembled from them afterwards.  With
+    ``grads=False`` no gradient is formed and None takes its place.
     """
     y = np.asarray(targets, dtype=np.float64)
     out = activations[-1]
@@ -220,18 +223,19 @@ def backward(
     if not np.all(np.isfinite(g)):
         raise FloatingPointError("non-finite loss derivative at the output layer")
 
-    grads: list[np.ndarray] = [None] * model.n_layers
+    weight_grads: list[np.ndarray] | None = [None] * model.n_layers if grads else None
     abars: list[np.ndarray] = [None] * model.n_layers
     gs: list[np.ndarray] = [None] * model.n_layers
     for i in range(model.n_layers - 1, -1, -1):
         ab = _augment(activations[i])
-        grads[i] = g.T @ ab / m
+        if grads:
+            weight_grads[i] = g.T @ ab / m
         abars[i] = ab
         gs[i] = g
         if i > 0:
             da = g @ model.weights[i][:, 1:]
             g = da * _derivative_from_activation(model.activations[i - 1], activations[i])
-    return grads, LayerBatchStats(abars, gs)
+    return weight_grads, LayerBatchStats(abars, gs)
 
 
 def _layer_stats(stats: LayerBatchStats, layer: int) -> tuple[np.ndarray, np.ndarray]:

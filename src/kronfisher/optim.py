@@ -5,9 +5,10 @@ The natural step at iteration k (1-based):
 1. forward on the batch and the mean loss;
 2. on factor-refresh iterations (k == 1 or k % t1 == 0), backward with
    targets sampled from the model's own predictive distribution,
-   reusing the same forward pass, and refresh each layer's factor pairs
-   with the method's row of `factorizations.FACTORIZERS` (exact solves,
-   blended into a moving average);
+   reusing the same forward pass and forming no gradients, and refresh
+   each layer's factor pairs with the method's row of
+   `factorizations.FACTORIZERS` (exact solves, blended into a moving
+   average);
 3. on inverse-refresh iterations (k == 1 or k % t2 == 0), rebuild the
    damped inverse caches; a layer holding two pairs gets the two-term
    congruence solve, one holding a single pair the plain Kronecker
@@ -213,7 +214,7 @@ def natural_step(
     sigma1 = sigma2 = degenerate = None
     if refreshed:
         sampled = sample_targets(acts[-1], model.loss, state.sample_rng)
-        _, stats = backward(model, acts, sampled)
+        _, stats = backward(model, acts, sampled, grads=False)
         factorize = fz.FACTORIZERS[config.method]
         sigma1, sigma2, degenerate = [], [], []
         for i, ls in enumerate(state.layer_states, start=1):
@@ -299,7 +300,7 @@ def fim_error_probe(
     """
     acts = forward(model, x)
     sampled = sample_targets(acts[-1], model.loss, rng)
-    _, stats = backward(model, acts, sampled)
+    _, stats = backward(model, acts, sampled, grads=False)
     f = exact_fim_block(stats, layer)
     f_norm = float(np.linalg.norm(f))
     spec_f = spectrum(f)

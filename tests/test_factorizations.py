@@ -13,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import kronfisher.factorizations as fz
+import kronfisher.linalg as la
 from conftest import make_model_stats, rand_spd, rand_sym, zigzag_oracle
 from kronfisher.factorizations import (
     DEFAULT_EPS,
@@ -367,6 +369,105 @@ class TestGramSolveProperties:
         d = stats.abar[0].shape[1]
         for t in res.triplets:
             assert np.trace(mat(t.u, d, d)) >= 0.0
+
+
+# name: (fan_in, fan_out, which sample repeats sample 0, which g row is zero).
+# fan_in + 1 > fan_out factors K_a, otherwise K_g; a repeated sample makes
+# both Gram matrices singular and a zero g row makes K_g singular.
+ORIENTED = {
+    "a-wider": (5, 2, None, None),
+    "g-wider": (2, 4, None, None),
+    "equal-width": (3, 4, None, None),
+    "a-wider-repeated-sample": (5, 2, 1, None),
+    "g-wider-repeated-sample": (2, 4, 5, None),
+    "g-wider-zero-g-row": (2, 4, None, 3),
+}
+
+
+def oriented_stats(case, rng, draw=None):
+    """A batch of 8 samples for one `ORIENTED` case."""
+    fan_in, fan_out, repeat, zero_g = ORIENTED[case]
+    draw = draw or rng.standard_normal
+    a, g = draw((8, fan_in)), draw((8, fan_out))
+    if repeat is not None:
+        a[repeat], g[repeat] = a[0], g[0]
+    if zero_g is not None:
+        g[zero_g] = 0.0
+    return one_layer_stats(a, g)
+
+
+def wider_gram(stats):
+    ab, g = stats.abar[0], stats.g[0]
+    x = ab if ab.shape[1] > g.shape[1] else g
+    return (x @ x.T) ** 2
+
+
+def cholesky_accepts(m):
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+class TestWiderSideFactor:
+    """The solve factors whichever side is wider; the triplets must not care."""
+
+    @pytest.mark.parametrize("case", ORIENTED)
+    def test_matches_dense_svd(self, case):
+        for seed in range(10):
+            stats = oriented_stats(case, np.random.default_rng(400 + seed))
+            z = dense_fisher_z(stats, 1)
+            s = np.linalg.svd(z, compute_uv=False)
+            scale = np.linalg.norm(z)
+            res = deflation_factors(stats, 1)
+            assert not res.degenerate
+            for t, want in zip(res.triplets, s):
+                assert t.sigma == pytest.approx(want, rel=1e-9)
+                assert np.linalg.norm(z @ t.v - t.sigma * t.u) <= 1e-8 * scale
+                assert np.linalg.norm(z.T @ t.u - t.sigma * t.v) <= 1e-8 * scale
+            got = pair_residual(z, res.pairs)
+            assert got == pytest.approx(best_rank_k_residual(z, 2), rel=1e-7, abs=1e-12 * scale)
+
+    @pytest.mark.parametrize("case", ORIENTED)
+    def test_centred_matches_dense_svd_of_moment_residual(self, case):
+        for seed in range(10):
+            stats = oriented_stats(case, np.random.default_rng(500 + seed))
+            z = dense_fisher_z(stats, 1)
+            base = kfac_factors(stats, 1)
+            rz = z - np.outer(vec(base.left), vec(base.right))
+            res = kfac_corrected_factors(stats, 1)
+            assert not res.degenerate
+            assert res.sigma(1) == pytest.approx(np.linalg.svd(rz, compute_uv=False)[0], rel=1e-9)
+            got = pair_residual(z, res.pairs)
+            assert got == pytest.approx(best_rank_k_residual(rz, 1), rel=1e-7)
+
+    @pytest.mark.parametrize("case", ORIENTED)
+    @pytest.mark.parametrize("factorize", [deflation_factors, kfac_corrected_factors])
+    def test_one_eigendecomposition_unless_cholesky_refuses(self, case, factorize, monkeypatch):
+        """Small integers keep the Gram arithmetic exact, so a singular
+        wider side is refused outright instead of passing on a rounding
+        pivot; `psd_factor` then spends the second `sym_eig`."""
+        rng = np.random.default_rng(600)
+        if ORIENTED[case][2:] == (None, None):
+            stats = oriented_stats(case, rng)
+            assert cholesky_accepts(wider_gram(stats))
+            want = 1
+        else:
+            stats = oriented_stats(case, rng, draw=lambda shape: rng.integers(-2, 3, shape) * 1.0)
+            assert not cholesky_accepts(wider_gram(stats))
+            want = 2
+        calls = []
+        for module in (la, fz):
+            original = module.sym_eig
+
+            def counted(m, _original=original):
+                calls.append(m.shape)
+                return _original(m)
+
+            monkeypatch.setattr(module, "sym_eig", counted)
+        factorize(stats, 1)
+        assert calls == [(8, 8)] * want
 
 
 class TestDegenerateBatches:

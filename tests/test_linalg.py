@@ -14,6 +14,7 @@ from kronfisher.linalg import (
     inv_sqrt,
     kron,
     mat,
+    psd_factor,
     spd_inv,
     spectrum,
     sym_eig,
@@ -139,6 +140,43 @@ class TestInvSqrt:
         with pytest.raises(NotPositiveDefiniteError) as err:
             inv_sqrt(m)
         assert err.value.smallest_eigenvalue == 0.0
+
+
+@st.composite
+def psd_products(draw):
+    """X X^T for an n x rank X, n in 1-80 and rank in 0-n, scaled by up to
+    1e+-3; one row of X may be zeroed."""
+    n = draw(st.integers(1, 80))
+    rank = draw(st.integers(0, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((n, rank)) * 10.0 ** draw(st.floats(-3.0, 3.0))
+    if draw(st.booleans()):
+        x[draw(st.integers(0, n - 1))] = 0.0
+    return x @ x.T
+
+
+class TestPsdFactor:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(psd_products())
+    def test_square_factor_of_psd_product(self, m):
+        """r r^T = m to rounding, lower triangular when Cholesky accepts
+        m, and no raise on a singular m."""
+        r = psd_factor(m)
+        assert r.shape == m.shape
+        assert np.linalg.norm(r @ r.T - m) <= 1e-10 * np.linalg.norm(m)
+        try:
+            np.linalg.cholesky(m)
+        except np.linalg.LinAlgError:
+            return
+        assert np.array_equal(r, np.tril(r))
+
+    def test_singular_falls_back_to_symmetric_root(self):
+        """Rounding just below zero is clamped to 0, not reflected."""
+        m = np.diag([4.0, 0.0, 1.0, -1e-12])
+        assert_allclose(psd_factor(m), np.diag([2.0, 0.0, 1.0, 0.0]), atol=1e-15)
+
+    def test_zero_matrix(self):
+        assert np.array_equal(psd_factor(np.zeros((3, 3))), np.zeros((3, 3)))
 
 
 @st.composite

@@ -179,6 +179,17 @@ class TestBackward:
         for arr in stats.abar + stats.g:
             assert_allclose(arr, np.tile(arr[:1], (4, 1)))
 
+    def test_without_gradients_the_stats_are_unchanged(self):
+        rng = np.random.default_rng(5)
+        model = init_mlp([4, 3, 2], ["relu", "sigmoid"], "bce", rng)
+        acts = forward(model, rng.random((7, 4)))
+        y = sample_targets(acts[-1], "bce", rng)
+        _, stats = backward(model, acts, y)
+        none, same = backward(model, acts, y, grads=False)
+        assert none is None
+        for want, got in zip(stats.abar + stats.g, same.abar + same.g):
+            assert np.array_equal(want, got)
+
     def test_mismatched_targets_raise(self):
         rng = np.random.default_rng(4)
         model = init_mlp([3, 2], ["sigmoid"], "bce", rng)

@@ -249,6 +249,28 @@ class TestNaturalStepDirection:
             assert_allclose(w1, w0 - config.lr * m.nu * p, atol=1e-14)
 
 
+class TestSampledBackward:
+    def test_only_the_true_target_backward_forms_gradients(self, monkeypatch):
+        """The refresh and the probe read only the sampled pass's rows."""
+        calls = []
+
+        def recording(model, acts, targets, **kwargs):
+            calls.append(kwargs.get("grads", True))
+            return backward(model, acts, targets, **kwargs)
+
+        monkeypatch.setattr(optim, "backward", recording)
+        rng = np.random.default_rng(14)
+        model = tiny_model(rng)
+        config = OptimizerConfig(method="kfac", t1=2, t2=2)
+        state = init_train_state(model, config)
+        for _ in range(2):
+            natural_step(model, tiny_batch(rng, model), state, config)
+        assert calls == [False, True, False, True]
+        calls.clear()
+        fim_error_probe(model, rng.random((6, 4)), layer=1, rng=rng)
+        assert calls == [False]
+
+
 class TestFailureModes:
     def test_non_finite_loss_raises_with_diagnostics(self):
         rng = np.random.default_rng(7)
