@@ -1,6 +1,8 @@
 """Dense primitive tests; every nontrivial routine is checked against a
 hand-rolled oracle from conftest."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import kron_oracle, rand_spd, rand_sym, zigzag_oracle
+from kronfisher import linalg
 from kronfisher.linalg import (
     NotPositiveDefiniteError,
     inv_chol,
@@ -181,10 +184,11 @@ class TestPsdFactor:
 
 @st.composite
 def spd_matrices(draw):
-    """Symmetric positive-definite matrices of size 1-300, across the
-    recursion base of `spd_inv`, with condition numbers up to 1e8."""
-    n = draw(st.integers(1, 300))
-    cond = 10.0 ** draw(st.floats(0.0, 8.0))
+    """Symmetric positive-definite matrices of size 1-400, so that the
+    recursion of `inv_chol` and `spd_inv` runs up to three levels deep
+    (blocks of at most 65 rows), with condition numbers up to 1e10."""
+    n = draw(st.integers(1, 400))
+    cond = 10.0 ** draw(st.floats(0.0, 10.0))
     scale = 10.0 ** draw(st.floats(-3.0, 3.0))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     q = np.linalg.qr(rng.standard_normal((n, n)))[0]
@@ -192,21 +196,84 @@ def spd_matrices(draw):
     return 0.5 * (m + m.T)
 
 
+EPS = np.finfo(np.float64).eps
+
+
+class TestInvChol:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(spd_matrices())
+    def test_whitens_relative_to_condition(self, m):
+        """Lower triangular with an exactly zero upper triangle, and
+        ||x m x^T - I||_2 within a small multiple of cond * eps (the worst
+        of 200 random draws measured 2)."""
+        x = inv_chol(m)
+        assert np.array_equal(x, np.tril(x))
+        err = np.linalg.norm(x @ m @ x.T - np.eye(len(m)), 2)
+        assert err <= 100 * np.linalg.cond(m) * EPS
+
+    @pytest.mark.parametrize("n", [1, 7, 33, 65, 785])
+    def test_direct_calls_see_no_block_above_the_block_size(self, monkeypatch, n):
+        """A factor of at most 65 rows (every curves_desk factor) is one
+        direct Cholesky and one direct inverse; a 785-row factor is cut
+        into blocks no wider than `_BLOCK` before either is called."""
+        widths = {"cholesky": [], "inv": []}
+        for name, calls in widths.items():
+            direct = getattr(np.linalg, name)
+
+            def counted(a, direct=direct, calls=calls):
+                calls.append(a.shape[0])
+                return direct(a)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        m = rand_spd(np.random.default_rng(n), n)
+        for invert in (inv_chol, spd_inv):
+            for calls in widths.values():
+                calls.clear()
+            invert(m)
+            if n <= 65:
+                assert widths == {"cholesky": [n], "inv": [n]}
+            else:
+                assert widths["cholesky"] == widths["inv"]
+                assert sum(widths["cholesky"]) == n
+                assert max(widths["cholesky"]) <= linalg._BLOCK
+
+    @pytest.mark.parametrize("invert", [inv_chol, spd_inv])
+    def test_traced_peak_of_a_curves_factor(self, invert):
+        """Both work on one copy of m and a scratch buffer of a quarter of
+        it: the traced peak at n = 785 measured 1.28 n^2 doubles, where the
+        unblocked spd_inv held two full matrices (2.00)."""
+        n = 785
+        m = rand_spd(np.random.default_rng(3), n)
+        invert(m)
+        tracemalloc.start()
+        try:
+            invert(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * n * n * 8
+
+
 class TestSpdInv:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(spd_matrices())
     def test_matches_solve_relative_to_condition(self, m):
         """Exactly symmetric, and within a small multiple of cond * eps of
-        the LU solve (the worst of 300 random draws measured 3)."""
+        the LU solve (the worst of 200 random draws measured 2)."""
         x = spd_inv(m)
         assert np.array_equal(x, x.T)
         want = np.linalg.solve(m, np.eye(len(m)))
         err = np.linalg.norm(x - want) / np.linalg.norm(want)
-        assert err <= 100 * np.linalg.cond(m) * np.finfo(np.float64).eps
+        assert err <= 100 * np.linalg.cond(m) * EPS
 
 
 INDEFINITE = np.diag([2.0, -0.5])
 NAN_DIAGONAL = np.diag([1.0, np.nan, 1.0])
+# both diagonal blocks are the identity, but the Schur complement of the
+# leading one is I - 4I; the eigenvalues of the whole are 3 and -1
+SCHUR_INDEFINITE = np.kron([[1.0, 2.0], [2.0, 1.0]], np.eye(150))
+TRAILING_NAN = np.eye(300)
+TRAILING_NAN[-1, -1] = np.nan
 
 
 @pytest.mark.parametrize(
@@ -218,6 +285,10 @@ NAN_DIAGONAL = np.diag([1.0, np.nan, 1.0])
         # Cholesky itself returns NaN here instead of failing
         pytest.param(inv_chol, NAN_DIAGONAL, np.nan, id="inv_chol-non-finite"),
         pytest.param(spd_inv, NAN_DIAGONAL, np.nan, id="spd_inv-non-finite"),
+        pytest.param(inv_chol, SCHUR_INDEFINITE, -1.0, id="inv_chol-schur-complement"),
+        pytest.param(spd_inv, SCHUR_INDEFINITE, -1.0, id="spd_inv-schur-complement"),
+        pytest.param(inv_chol, TRAILING_NAN, np.nan, id="inv_chol-trailing-non-finite"),
+        pytest.param(spd_inv, TRAILING_NAN, np.nan, id="spd_inv-trailing-non-finite"),
     ],
 )
 def test_non_pd_reports_smallest_eigenvalue(invert, m, smallest):

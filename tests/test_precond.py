@@ -540,6 +540,27 @@ class TestStateMachine:
     def test_non_pd_rank2_raises_and_keeps_the_previous_cache(self):
         assert isinstance(self.refuse_bad_factors(2), Rank2Cache)
 
+    def test_curves_wide_factor_failing_in_a_schur_complement_keeps_the_cache(self):
+        """Both diagonal blocks of the damped 785-row left factor are
+        positive definite; only the Schur complement of the leading block
+        is not, so the failure comes from inside the blocked Cholesky and
+        still names the whole factor's smallest eigenvalue."""
+        g = rand_spd(np.random.default_rng(12), 4)
+        state = KronApprox()
+        update_factors(state, make_result([KronPair(np.eye(785), g)]), 1, 0.95)
+        rebuild_cache(state, damping=1e-3)
+        old_cache = state.cache
+        assert isinstance(old_cache, Rank1Cache)
+        bad = np.eye(785)
+        bad[0, -1] = bad[-1, 0] = 2.0
+        state.pairs = (KronPair(bad, g),)
+        with pytest.raises(NotPositiveDefiniteError, match="^left dominant factor: ") as err:
+            rebuild_cache(state, damping=1e-3)
+        smallest = np.linalg.eigvalsh(damp_pair(bad, g, 1e-3)[0])[0]
+        assert smallest < 0
+        assert err.value.smallest_eigenvalue == pytest.approx(smallest)
+        assert state.cache is old_cache
+
     def test_ill_conditioned_pair_gives_one_direction_in_both_caches(self):
         """A damped left factor of condition number about 5e13 is positive
         definite, and both caches accept it: two pairs with a zero
