@@ -104,13 +104,10 @@ def _cmd_gridsearch(args: argparse.Namespace) -> int:
 def _cmd_gen_data(args: argparse.Namespace) -> int:
     from .datasets import gen_gaussian_blobs, gen_synthetic_curves, save_idx
 
-    if args.kind == "curves":
-        data = gen_synthetic_curves(args.n, args.seed, side=args.side)
-    else:
-        data = gen_gaussian_blobs(args.n, args.seed, side=args.side)
-    side = args.side
-    save_idx(args.out, data.reshape(args.n, side, side))
-    print(f"wrote {args.n} {side}x{side} images to {args.out}")
+    gen = gen_synthetic_curves if args.kind == "curves" else gen_gaussian_blobs
+    data = gen(args.n, args.seed, side=args.side)
+    save_idx(args.out, data.reshape(args.n, args.side, args.side))
+    print(f"wrote {args.n} {args.side}x{args.side} images to {args.out}")
     return 0
 
 

@@ -109,6 +109,10 @@ class ProbeSpec:
 
 @dataclass
 class ExperimentConfig:
+    """One run, settled and checked at load.  A generated dataset needs an
+    input width that is the square of an integer >= 2; ``side`` restates
+    that root: a missing side becomes it, and any given side must equal it."""
+
     preset: str = "curves_desk"
     dataset: str = "synthetic_curves"
     layer_dims: list[int] = field(default_factory=list)
@@ -117,7 +121,7 @@ class ExperimentConfig:
     epochs: int = 10
     n_train: int = 1024
     n_val: int = 256
-    side: int = 8
+    side: int | None = None
     data_path: str = ""
     val_path: str = ""
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
@@ -168,15 +172,18 @@ class ExperimentConfig:
                     f"{MAX_DENSE_BLOCK}"
                 )
         width = self.layer_dims[0]
-        if self.dataset == "synthetic_curves" and self.side * self.side != width:
+        root = math.isqrt(width)
+        if self.side is not None and (self.side != root or root * root != width):
             raise ValueError(
-                f"synthetic_curves: side {self.side} gives image width {self.side * self.side}, "
+                f"{self.dataset}: side {self.side} gives image width {self.side * self.side}, "
                 f"network input width is {width}"
             )
-        if self.dataset == "synthetic_faces" and math.isqrt(width) ** 2 != width:
-            raise ValueError(
-                f"synthetic_faces: network input width {width} is not a square image width"
-            )
+        if self.dataset != "mnist":
+            if root < 2 or root * root != width:
+                raise ValueError(
+                    f"{self.dataset}: network input width {width} is not a square image width"
+                )
+            self.side = root
         if self.optimizer.batch_size > self.n_train:
             raise ValueError(
                 f"batch size {self.optimizer.batch_size} exceeds training set size {self.n_train}"
@@ -238,16 +245,14 @@ def load_config(path) -> ExperimentConfig:
 def build_dataset(config: ExperimentConfig, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Return (train, val) input matrices for the configured dataset.
 
-    A generated dataset fits the input layer by the config's load-time
-    checks; each IDX file must be as wide as the network input."""
+    A generated dataset draws side x side images, the side the config
+    settled from the input width at load; each IDX file must be as wide
+    as the network input."""
     width = config.layer_dims[0]
     n_train, n_val = config.n_train, config.n_val
     if config.dataset != "mnist":
-        seed = int(rng.integers(2 ** 31))
-        if config.dataset == "synthetic_curves":
-            data = gen_synthetic_curves(n_train + n_val, seed, side=config.side)
-        else:
-            data = gen_gaussian_blobs(n_train + n_val, seed, side=math.isqrt(width))
+        gen = gen_synthetic_curves if config.dataset == "synthetic_curves" else gen_gaussian_blobs
+        data = gen(n_train + n_val, int(rng.integers(2 ** 31)), side=config.side)
         return data[:n_train], data[n_train:]
     if config.val_path:
         parts = [

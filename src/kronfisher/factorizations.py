@@ -119,7 +119,8 @@ class FactorResult:
     degenerate: bool = False
 
     def sigma(self, idx: int) -> float:
-        t = self.triplets[idx]
+        """Triplet idx's sigma; nan without a triplet or past the last pair."""
+        t = self.triplets[idx] if idx < len(self.triplets) else None
         return float("nan") if t is None else t.sigma
 
 

@@ -221,7 +221,7 @@ def natural_step(
             result = factorize(stats, i, config.svd_eps)
             update_factors(ls, result, k, EMA_DECAY)
             sigma1.append(result.sigma(0))
-            sigma2.append(result.sigma(1) if len(result.triplets) > 1 else float("nan"))
+            sigma2.append(result.sigma(1))
             degenerate.append(result.degenerate)
         del stats
 

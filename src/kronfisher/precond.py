@@ -18,17 +18,16 @@ matrix-size work, never Kronecker-size work, and raises
 `np.linalg.LinAlgError` on a singular sum.  A cache holds only what
 `precondition_layer` applies; a rebuild replaces it whole.
 
-Both caches apply two dp x dp and d x d transforms to a dp x d gradient,
-one from each side, at d * dp * (d + dp) multiply-adds.  The batch
-gradient g^T abar / m of m per-sample rows has rank at most m, so when
-`precondition_layer` is handed those rows and
-m * (d^2 + dp^2 + d * dp) < d * dp * (d + dp), it transforms the rows
-instead and multiplies the two m-row products, which is the same
-product in a cheaper order (Ren & Goldfarb 2019 build on the same
-low-rank structure).  The rule needs a batch well below both widths
-(m < 2d/3 when d = dp): it picks the rows for the 784-wide layers of
-`curves` at m = 256 and for no layer of `curves_desk` at m = 64.
-Otherwise, or without rows, the dense gradient is transformed.
+Each cache gives a dp x dp right and a d x d left transform: g_inv and
+a_inv for one pair; k2^T and k1 for two, whose product is then divided
+by denom and taken back by k2 and k1^T.  `precondition_layer` forms
+right grad_w left at d * dp * (d + dp) multiply-adds or, handed the
+batch's m per-sample rows (grad_w = g^T abar / m has rank at most m)
+with m * (d^2 + dp^2 + d * dp) < d * dp * (d + dp), the same product in
+a cheaper order, (right g^T)(abar left) / m (Ren & Goldfarb 2019 build
+on the same low-rank structure).  The rule needs a batch well below
+both widths (m < 2d/3 when d = dp): it picks the rows for the 784-wide
+layers of `curves` at m = 256 and for no layer of `curves_desk` at m = 64.
 """
 
 from __future__ import annotations
@@ -178,8 +177,7 @@ def kron_sum_prepare(
 
 def kron_sum_apply(cache: Rank2Cache, v: np.ndarray) -> np.ndarray:
     """Solve the prepared two-term system for one right-hand side in matrix form."""
-    w = (cache.k2.T @ v @ cache.k1) / cache.denom
-    return cache.k2 @ w @ cache.k1.T
+    return precondition_layer(KronApprox(cache=cache), v)
 
 
 def kl_clip(
@@ -253,14 +251,12 @@ def precondition_layer(
     cache = state.cache
     if cache is None:
         raise ValueError("inverse cache has not been built")
+    one_pair = isinstance(cache, Rank1Cache)
+    right, left = (cache.g_inv, cache.a_inv) if one_pair else (cache.k2.T, cache.k1)
     dp, d = grad_w.shape
     if rows is None or rows[0].shape[0] * (d * d + dp * dp + d * dp) >= d * dp * (d + dp):
-        if isinstance(cache, Rank1Cache):
-            return cache.g_inv @ grad_w @ cache.a_inv
-        return kron_sum_apply(cache, grad_w)
-    abar, g = rows
-    m = abar.shape[0]
-    if isinstance(cache, Rank1Cache):
-        return (cache.g_inv @ g.T) @ (abar @ cache.a_inv) / m
-    w = (g @ cache.k2).T @ (abar @ cache.k1) / m / cache.denom
-    return cache.k2 @ w @ cache.k1.T
+        w = right @ grad_w @ left
+    else:
+        abar, g = rows
+        w = (right @ g.T) @ (abar @ left) / abar.shape[0]
+    return w if one_pair else cache.k2 @ (w / cache.denom) @ cache.k1.T

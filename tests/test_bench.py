@@ -31,6 +31,10 @@ from kronfisher.optim import SECOND_ORDER_METHODS, OptimizerConfig
 from kronfisher.records import MetricRecord, emit_csv, emit_plot, emit_timings, parse_csv, record_fields
 
 
+# one step of one epoch: cheap enough for the large presets
+SMALL_RUN = {"epochs": 1, "n_train": 8, "n_val": 0, "optimizer": {"method": "sgd", "batch_size": 8}}
+
+
 def desk_config(tmp_path, **kw):
     opt = kw.pop(
         "optimizer",
@@ -515,6 +519,20 @@ class TestBuildDataset:
                 out_dir=str(tmp_path),
             )
 
+    @pytest.mark.parametrize(
+        "raw,side",
+        [({"preset": "curves"}, 28), ({"preset": "faces", "dataset": "synthetic_faces"}, 25),
+         ({"preset": "curves_desk"}, 8)],
+        ids=["curves", "faces", "curves_desk"],
+    )
+    def test_side_follows_the_input_width(self, raw, side):
+        """Without a given side, a generated dataset draws images exactly
+        as wide as the input layer."""
+        config = config_from_dict({**raw, **SMALL_RUN})
+        assert config.side == side
+        train, val = build_dataset(config, np.random.default_rng(0))
+        assert train.shape == (8, side * side) and val.shape == (0, side * side)
+
     def test_width_mismatch_rejected(self, tmp_path):
         """A generator whose images cannot fill the input layer is refused
         when the config is built, before any data exists."""
@@ -816,15 +834,22 @@ class TestCli:
     @pytest.mark.parametrize(
         "raw,message",
         [
-            ({"preset": "curves"}, "synthetic_curves: side 8 gives image width 64, "
+            ({"preset": "curves", "side": 8}, "synthetic_curves: side 8 gives image width 64, "
              "network input width is 784"),
             ({"preset": "", "dataset": "synthetic_faces", "layer_dims": [60, 16, 60],
               "activations": ["relu", "linear"], "loss": "mse"},
              "synthetic_faces: network input width 60 is not a square image width"),
             ({"preset": "curves_desk", "n_train": 64, "optimizer": {"batch_size": 65}},
              "batch size 65 exceeds training set size 64"),
+            # the splat spreads each point over a 2x2 block; this used to crash in the generator
+            ({"preset": "", "layer_dims": [1, 2, 1], "activations": ["relu", "sigmoid"],
+              "loss": "bce", "side": 1, **SMALL_RUN},
+             "synthetic_curves: network input width 1 is not a square image width"),
+            # a side the generator never read used to load, and a run trained
+            ({"preset": "faces", "dataset": "synthetic_faces", "side": 8, **SMALL_RUN},
+             "synthetic_faces: side 8 gives image width 64, network input width is 625"),
         ],
-        ids=["curves-side", "faces-width", "batch-size"],
+        ids=["curves-side", "faces-width", "batch-size", "curves-width-1", "faces-side"],
     )
     def test_data_shape_errors_are_usage_errors(self, tmp_path, capsys, raw, message):
         """Refused at load with one error line and exit 2, before any data
@@ -837,6 +862,16 @@ class TestCli:
         assert exc.value.code == 2
         assert capsys.readouterr().err.splitlines()[-1] == f"kronfisher train: error: {message}"
         assert not out.exists()
+
+    def test_bare_curves_preset_trains(self, tmp_path):
+        """The image side follows from the input width, so the preset alone
+        is a complete config."""
+        path = tmp_path / "config.json"
+        raw = {"preset": "curves", **SMALL_RUN, "out_dir": str(tmp_path / "run")}
+        path.write_text(json.dumps(raw))
+        assert main(["train", "--config", str(path)]) == 0
+        echo = json.loads((tmp_path / "run" / "config_echo.json").read_text())
+        assert echo["side"] == 28
 
     @pytest.mark.parametrize(
         "raw,message",

@@ -22,7 +22,7 @@ from kronfisher.precond import Rank1Cache
 sys.path.append(str(Path(__file__).resolve().parent.parent / "benchmarks"))
 import harness  # noqa: E402
 import tracing  # noqa: E402
-from workloads import Workload  # noqa: E402
+from workloads import WORKLOADS, Workload  # noqa: E402
 
 MODULES = {
     "experiment": experiment,
@@ -119,3 +119,13 @@ def test_harness_checks_read_the_train_state(method, cache_type):
         assert sum(metrics.solver_iterations or ()) >= 0
     assert all(isinstance(ls.cache, cache_type) for ls in inst.state.layer_states)
     assert harness.dense_check(inst, x) == ""
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_every_workload_config_loads(name):
+    """harness.experiment_config passes each workload's preset and side
+    straight to ExperimentConfig, which must accept them."""
+    workload = WORKLOADS[name]
+    config = harness.experiment_config(workload, seed=0)
+    assert config.side == workload.side == {"curves": 28, "curves_desk": 8}[workload.preset]
+    assert config.layer_dims[0] == config.side ** 2

@@ -149,6 +149,13 @@ class TestKpsvd:
         z = dense_fisher_z(stats, 1)
         assert pair_residual(z, res.pairs) <= 1e-6 * np.linalg.norm(z)
 
+    def test_sigma_past_the_last_pair_is_nan(self):
+        """A one-pair result reports nan for a second sigma, as the
+        optimizer's metrics record it, whether or not it has triplets."""
+        _, _, stats = make_model_stats(np.random.default_rng(11), dims=(4, 3, 2), m=6)
+        assert np.isnan(kpsvd_factors(stats, 1).sigma(1))
+        assert np.isnan(FACTORIZERS["kfac"](stats, 1, DEFAULT_EPS).sigma(1))
+
     def test_matches_dense_best_rank_one(self):
         rng = np.random.default_rng(10)
         for _ in range(5):
