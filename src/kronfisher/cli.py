@@ -6,7 +6,9 @@ edited config again.
 
 Numpy, and with it BLAS, loads only when a command runs, and BLAS reads its
 thread count then; cap it with OPENBLAS_NUM_THREADS (or OMP_NUM_THREADS)
-in the shell that launches the command.
+in the shell that launches the command.  A cap also frees the other cores
+for a natural step's layers (see `optim`), and at a fixed setting
+metrics.csv is byte-identical however many layers run at once.
 """
 
 from __future__ import annotations
@@ -102,8 +104,10 @@ def _cmd_gridsearch(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_data(args: argparse.Namespace) -> int:
-    from .datasets import gen_gaussian_blobs, gen_synthetic_curves, save_idx
+    from .datasets import MIN_SIDE, gen_gaussian_blobs, gen_synthetic_curves, save_idx
 
+    if args.side < MIN_SIDE:
+        args.usage_error(f"--side must be at least {MIN_SIDE}, got {args.side}")
     gen = gen_synthetic_curves if args.kind == "curves" else gen_gaussian_blobs
     data = gen(args.n, args.seed, side=args.side)
     save_idx(args.out, data.reshape(args.n, args.side, args.side))
@@ -143,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--side", type=int, default=28, help="image side length")
     p_gen.add_argument("--out", required=True, help="output IDX path")
-    p_gen.set_defaults(func=_cmd_gen_data)
+    p_gen.set_defaults(func=_cmd_gen_data, usage_error=p_gen.error)
     return parser
 
 

@@ -29,6 +29,9 @@ IDX_HEADER_BYTES = 16
 # refuse headers whose payload could not be a sane dataset
 MAX_IDX_BYTES = 1 << 31
 
+# the smallest image side: the splat spreads each point over a 2 x 2 block
+MIN_SIDE = 2
+
 # images splatted per np.bincount: the block's temporaries stay near 1 MB
 # at side 28, where one bincount over 1,280 images holds about 36 MB
 _SPLAT_BLOCK = 32

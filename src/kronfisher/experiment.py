@@ -22,7 +22,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .datasets import gen_gaussian_blobs, gen_synthetic_curves, load_idx
+from .datasets import MIN_SIDE, gen_gaussian_blobs, gen_synthetic_curves, load_idx
 from .mlp import MAX_DENSE_BLOCK, batch_loss, check_architecture, forward, init_mlp
 from .optim import (
     OptimizerConfig,
@@ -110,8 +110,9 @@ class ProbeSpec:
 @dataclass
 class ExperimentConfig:
     """One run, settled and checked at load.  A generated dataset needs an
-    input width that is the square of an integer >= 2; ``side`` restates
-    that root: a missing side becomes it, and any given side must equal it."""
+    input width that is the square of an integer >= `datasets.MIN_SIDE`;
+    ``side`` restates that root: a missing side becomes it, and any given
+    side must equal it."""
 
     preset: str = "curves_desk"
     dataset: str = "synthetic_curves"
@@ -174,12 +175,17 @@ class ExperimentConfig:
         width = self.layer_dims[0]
         root = math.isqrt(width)
         if self.side is not None and (self.side != root or root * root != width):
+            if self.side * self.side == width:
+                raise ValueError(
+                    f"{self.dataset}: side {self.side} must be the square root of network "
+                    f"input width {width}, which is {root}"
+                )
             raise ValueError(
                 f"{self.dataset}: side {self.side} gives image width {self.side * self.side}, "
                 f"network input width is {width}"
             )
         if self.dataset != "mnist":
-            if root < 2 or root * root != width:
+            if root < MIN_SIDE or root * root != width:
                 raise ValueError(
                     f"{self.dataset}: network input width {width} is not a square image width"
                 )

@@ -130,7 +130,10 @@ def kfac_factors(stats: LayerBatchStats, layer: int) -> KronPair:
     m = ab.shape[0]
     if m == 0:
         raise ValueError("empty batch")
-    return KronPair(ab.T @ ab / m, g.T @ g / m)
+    a, b = ab.T @ ab, g.T @ g
+    a /= m
+    b /= m
+    return KronPair(a, b)
 
 
 def psd_select(m: np.ndarray) -> np.ndarray:

@@ -5,19 +5,35 @@ The natural step at iteration k (1-based):
 1. forward on the batch and the mean loss;
 2. on factor-refresh iterations (k == 1 or k % t1 == 0), backward with
    targets sampled from the model's own predictive distribution,
-   reusing the same forward pass and forming no gradients, and refresh
-   each layer's factor pairs with the method's row of
+   reusing the same forward pass and forming no gradients;
+3. on factor-refresh or inverse-refresh iterations (k == 1 or
+   k % t2 == 0), one unit per layer: on a factor refresh, refresh the
+   layer's factor pairs with the method's row of
    `factorizations.FACTORIZERS` (exact solves, blended into a moving
-   average);
-3. on inverse-refresh iterations (k == 1 or k % t2 == 0), rebuild the
-   damped inverse caches; a layer holding two pairs gets the two-term
-   congruence solve, one holding a single pair the plain Kronecker
-   inverse;
-4. backward with the true targets, precondition the layer gradients
-   with the cached inverses, handing each layer its per-sample rows so
+   average); on an inverse refresh, then rebuild its damped inverse
+   cache, the two-term congruence solve for a layer holding two pairs
+   and the plain Kronecker inverse for one holding a single pair;
+4. backward with the true targets, precondition each layer gradient
+   with its cached inverses, handing each layer its per-sample rows so
    a wide layer can take the cheaper order
    (`precond.precondition_layer`), scale by the trust-region factor,
    and descend.
+
+The per-layer work of steps 3 and 4 runs on W lanes.  W is the usable
+cores over the BLAS threads per call (OPENBLAS_NUM_THREADS, then
+OMP_NUM_THREADS), capped at the layer count; it is 1 when neither is
+set, since BLAS then takes every core.  Each section bins its layers
+largest first, each to the lightest bin so far, by multiply-adds:
+m (d^2 + dp^2) + d^3 + dp^3 for a step-3 unit, `precond.apply_order`'s
+count for a step-4 apply.  The calling thread runs the first bin and a
+pool the others, each bin in ascending layer order and each layer's unit
+whole.  A section whose lightest bin falls below `_PARALLEL_FLOOR` runs
+on the calling thread as loops: every layer's factors, then every
+layer's rebuild (whole units measured 2-7% slower on `curves_desk`).  A
+layer makes the same BLAS calls in the same order on any lane, so
+weights and every `StepMetrics` field are bit-identical for every W at a
+fixed BLAS setting.  On several lanes every layer of a section runs even
+when one fails, and the lowest-numbered failure is raised.
 
 The true-target backward comes last so that its per-sample rows are
 never held at the same time as the sampled ones or a rebuild's
@@ -34,14 +50,24 @@ run is a pure function of (config, seeds).
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from . import factorizations as fz
 from .linalg import kron, spectrum
 from .mlp import MLPModel, backward, batch_loss, exact_fim_block, forward, sample_targets
-from .precond import KronApprox, kl_clip, precondition_layer, rebuild_cache, update_factors
+from .precond import (
+    KronApprox,
+    apply_order,
+    kl_clip,
+    precondition_layer,
+    rebuild_cache,
+    update_factors,
+)
 
 __all__ = [
     "FIRST_ORDER_METHODS",
@@ -69,6 +95,19 @@ SGD_MOMENTUM = 0.9
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+# a layer-parallel section runs serially when its lightest bin would hold
+# fewer multiply-adds than this.  The refresh sets it: below it two lanes
+# lose, as two 42M units ([256, 256, 256] at m = 64) took 15.5 ms serially
+# and 17.9 ms on two lanes, their many small blocked-inverse calls queueing
+# on the interpreter lock, while two 133M units went from 36 to 25 ms.
+# Applies gain from about 7M (1.13 to 0.92 ms), so lighter applies than the
+# floor stay serial at some cost.  An empty two-lane section costs 65-100 us
+# (one BLAS thread, 2-vCPU Xeon VM)
+_PARALLEL_FLOOR = 2 ** 26
+
+# created at the first section that runs on more than one lane
+_pool: ThreadPoolExecutor | None = None
 
 
 @dataclass
@@ -200,6 +239,73 @@ def _forward_loss(model: MLPModel, batch, state: TrainState):
     return acts, loss
 
 
+def _lanes() -> int:
+    """How many layers can run at once: usable cores over BLAS threads per call.
+
+    BLAS reads OPENBLAS_NUM_THREADS, then OMP_NUM_THREADS, as numpy loads
+    and takes every core when neither is set, which leaves one lane.
+    """
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "")
+        if value.isdigit() and int(value) > 0:
+            cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+            return max(1, cores // int(value))
+    return 1
+
+
+def _split(costs: list[int], lanes: int) -> list[list[int]]:
+    """Layer indices binned for `lanes` lanes, each bin in ascending order.
+
+    Largest cost first, each layer goes to the lightest bin so far (LPT);
+    one lane, or a lightest bin below `_PARALLEL_FLOOR`, gives one bin of
+    every layer.
+    """
+    bins = [[] for _ in range(min(lanes, len(costs)))]
+    loads = [0] * len(bins)
+    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
+        b = loads.index(min(loads))
+        bins[b].append(i)
+        loads[b] += costs[i]
+    if len(bins) < 2 or min(loads) < _PARALLEL_FLOOR:
+        return [list(range(len(costs)))]
+    return [sorted(b) for b in bins]
+
+
+def _per_layer(costs: list[int], *phases: Callable[[int], object]) -> list:
+    """Run every phase on every layer index; the first phase's results, in layer order.
+
+    On one lane the phases run as loops, each over all layers before the
+    next.  On the lanes of `_split`, each lane runs every phase of a layer
+    before its next layer, the calling thread the first bin and the pool
+    the others; every layer then runs even when another fails, and the
+    lowest-numbered failure is raised.
+    """
+    bins = _split(costs, _lanes())
+    if len(bins) == 1:
+        return [[phase(i) for i in bins[0]] for phase in phases][0]
+    global _pool
+    if _pool is None:
+        _pool = ThreadPoolExecutor(_lanes() - 1, thread_name_prefix="kronfisher-layer")
+    results = [None] * len(costs)
+    errors = {}
+
+    def run(layers):
+        # each layer writes only its own slot
+        for i in layers:
+            try:
+                results[i] = [phase(i) for phase in phases][0]
+            except Exception as exc:  # re-raised below, lowest layer first
+                errors[i] = exc
+
+    futures = [_pool.submit(run, b) for b in bins[1:]]
+    run(bins[0])
+    for future in futures:
+        future.result()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
 def natural_step(
     model: MLPModel,
     batch: tuple[np.ndarray, np.ndarray],
@@ -209,32 +315,41 @@ def natural_step(
     """One preconditioned descent step; see the module docstring for the protocol."""
     acts, loss = _forward_loss(model, batch, state)
     k = state.iteration + 1
+    m = batch[0].shape[0]
+    shapes = [w.shape for w in model.weights]
 
     refreshed = k == 1 or k % config.t1 == 0
-    sigma1 = sigma2 = degenerate = None
-    if refreshed:
-        sampled = sample_targets(acts[-1], model.loss, state.sample_rng)
-        _, stats = backward(model, acts, sampled, grads=False)
-        factorize = fz.FACTORIZERS[config.method]
-        sigma1, sigma2, degenerate = [], [], []
-        for i, ls in enumerate(state.layer_states, start=1):
-            result = factorize(stats, i, config.svd_eps)
-            update_factors(ls, result, k, EMA_DECAY)
-            sigma1.append(result.sigma(0))
-            sigma2.append(result.sigma(1))
-            degenerate.append(result.degenerate)
-        del stats
-
     rebuilt = k == 1 or k % config.t2 == 0
-    if rebuilt:
-        for ls in state.layer_states:
-            rebuild_cache(ls, config.damping)
+    sigma1 = sigma2 = degenerate = None
+    if refreshed or rebuilt:
+        stats = None
+        if refreshed:
+            sampled = sample_targets(acts[-1], model.loss, state.sample_rng)
+            _, stats = backward(model, acts, sampled, grads=False)
+        factorize = fz.FACTORIZERS[config.method]
+
+        def blend(i):
+            # only the sigmas leave, so the fresh pairs are freed before the
+            # rebuild, while another lane's unit may be at its own peak
+            result = factorize(stats, i + 1, config.svd_eps)
+            update_factors(state.layer_states[i], result, k, EMA_DECAY)
+            return result.sigma(0), result.sigma(1), result.degenerate
+
+        def rebuild(i):
+            rebuild_cache(state.layer_states[i], config.damping)
+
+        costs = [m * (d * d + dp * dp) + d ** 3 + dp ** 3 for dp, d in shapes]
+        phases = ([blend] if refreshed else []) + ([rebuild] if rebuilt else [])
+        reports = _per_layer(costs, *phases)
+        del stats
+        if refreshed:
+            sigma1, sigma2, degenerate = (list(column) for column in zip(*reports))
 
     grads, rows = backward(model, acts, batch[1])
-    precond = [
-        precondition_layer(ls, g, layer_rows)
-        for ls, g, layer_rows in zip(state.layer_states, grads, zip(rows.abar, rows.g))
-    ]
+    precond = _per_layer(
+        [apply_order(d, dp, m)[0] for dp, d in shapes],
+        lambda i: precondition_layer(state.layer_states[i], grads[i], (rows.abar[i], rows.g[i])),
+    )
     nu = kl_clip(precond, grads, config.clip)
     for w, p in zip(model.weights, precond):
         w -= (config.lr * nu) * p

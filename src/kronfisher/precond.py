@@ -55,6 +55,7 @@ __all__ = [
     "kl_clip",
     "update_factors",
     "rebuild_cache",
+    "apply_order",
     "precondition_layer",
 ]
 
@@ -102,15 +103,17 @@ class KronApprox:
 def ema_update(old: KronPair, new: KronPair, k: int, alpha: float) -> KronPair:
     """Decay old factors into new ones: rho*old + (1-rho)*new per factor.
 
-    rho = min(1 - 1/k, alpha) warms up from 0 at k=1 toward the cap.
+    rho = min(1 - 1/k, alpha) warms up from 0 at k=1 toward the cap.  The
+    blend is written into old's arrays, which are returned; it rounds as
+    the out-of-place expression does.
     """
     if k < 1:
         raise ValueError("iteration counter must be >= 1")
     rho = min(1.0 - 1.0 / k, alpha)
-    return KronPair(
-        rho * old.left + (1.0 - rho) * new.left,
-        rho * old.right + (1.0 - rho) * new.right,
-    )
+    for mine, fresh in ((old.left, new.left), (old.right, new.right)):
+        mine *= rho
+        mine += (1.0 - rho) * fresh
+    return old
 
 
 def damping_pi(a: np.ndarray, g: np.ndarray) -> float:
@@ -237,6 +240,14 @@ def rebuild_cache(state: KronApprox, damping: float) -> None:
         )
 
 
+def apply_order(d: int, dp: int, m: int) -> tuple[int, bool]:
+    """Multiply-adds of the cheaper order for a dp x d gradient with m rows, and
+    whether that order is the rows one (the module docstring's rule)."""
+    dense = d * dp * (d + dp)
+    from_rows = m * (d * d + dp * dp + d * dp)
+    return (from_rows, True) if from_rows < dense else (dense, False)
+
+
 def precondition_layer(
     state: KronApprox,
     grad_w: np.ndarray,
@@ -254,9 +265,10 @@ def precondition_layer(
     one_pair = isinstance(cache, Rank1Cache)
     right, left = (cache.g_inv, cache.a_inv) if one_pair else (cache.k2.T, cache.k1)
     dp, d = grad_w.shape
-    if rows is None or rows[0].shape[0] * (d * d + dp * dp + d * dp) >= d * dp * (d + dp):
+    if rows is None or not apply_order(d, dp, rows[0].shape[0])[1]:
         w = right @ grad_w @ left
     else:
         abar, g = rows
-        w = (right @ g.T) @ (abar @ left) / abar.shape[0]
+        w = (right @ g.T) @ (abar @ left)
+        w /= abar.shape[0]
     return w if one_pair else cache.k2 @ (w / cache.denom) @ cache.k1.T

@@ -848,8 +848,13 @@ class TestCli:
             # a side the generator never read used to load, and a run trained
             ({"preset": "faces", "dataset": "synthetic_faces", "side": 8, **SMALL_RUN},
              "synthetic_faces: side 8 gives image width 64, network input width is 625"),
+            # -8 squared is the input width, so naming the two widths shows no mismatch
+            ({"preset": "curves_desk", "side": -8},
+             "synthetic_curves: side -8 must be the square root of network input width 64, "
+             "which is 8"),
         ],
-        ids=["curves-side", "faces-width", "batch-size", "curves-width-1", "faces-side"],
+        ids=["curves-side", "faces-width", "batch-size", "curves-width-1", "faces-side",
+             "curves-negative-side"],
     )
     def test_data_shape_errors_are_usage_errors(self, tmp_path, capsys, raw, message):
         """Refused at load with one error line and exit 2, before any data
@@ -861,6 +866,20 @@ class TestCli:
             main(["train", "--config", str(path)])
         assert exc.value.code == 2
         assert capsys.readouterr().err.splitlines()[-1] == f"kronfisher train: error: {message}"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["curves", "blobs"])
+    @pytest.mark.parametrize("side", [1, 0, -3])
+    def test_gen_data_side_below_two_is_a_usage_error(self, tmp_path, capsys, kind, side):
+        """The config's size rule: the curve splat needs a side of at least 2.
+        Side 1 used to crash in the generator and side 0 to write 0x0 images."""
+        out = tmp_path / "data.idx"
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-data", "--kind", kind, "--n", "2", "--side", str(side), "--out", str(out)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"kronfisher gen-data: error: --side must be at least 2, got {side}"
+        )
         assert not out.exists()
 
     def test_bare_curves_preset_trains(self, tmp_path):

@@ -5,15 +5,21 @@ the schedule flags are traced over a short run with small periods.
 """
 
 import copy
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import make_model_stats
 from kronfisher import optim
-from kronfisher.factorizations import FACTORIZERS
-from kronfisher.linalg import kron, vec
+from kronfisher.factorizations import FACTORIZERS, KronPair
+from kronfisher.linalg import NotPositiveDefiniteError, kron, vec
 from kronfisher.mlp import backward, forward, init_mlp, sample_targets
 from kronfisher.optim import (
     SECOND_ORDER_METHODS,
@@ -358,3 +364,182 @@ class TestErrorProbe:
         for layer in (0, 3):
             with pytest.raises(ValueError, match=rf"layer {layer} out of range 1\.\.2"):
                 fim_error_probe(model, x, layer=layer, rng=np.random.default_rng(0))
+
+
+# two layers whose units and applies both clear optim._PARALLEL_FLOOR at m = 256
+WIDE_DIMS = (400, 300, 400)
+WIDE_BATCH = 256
+
+
+def record_threads(monkeypatch):
+    """Names of the threads that run each layer's rebuild and apply."""
+    seen = []
+    for name in ("rebuild_cache", "precondition_layer"):
+        def spy(*args, _fn=getattr(optim, name), **kwargs):
+            seen.append(threading.current_thread().name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(optim, name, spy)
+    return seen
+
+
+class TestLayerParallel:
+    """The layer-parallel sections of `natural_step` and the rules that pick their lanes."""
+
+    def run_steps(self, monkeypatch, lanes, method, t1, t2, steps=6):
+        monkeypatch.setattr(optim, "_lanes", lambda: lanes)
+        rng = np.random.default_rng(21)
+        model = tiny_model(rng, dims=WIDE_DIMS)
+        batch = tiny_batch(rng, model, m=WIDE_BATCH)
+        config = OptimizerConfig(method=method, lr=0.1, damping=1e-2, clip=0.1, t1=t1, t2=t2)
+        state = init_train_state(model, config)
+        metrics = [natural_step(model, batch, state, config) for _ in range(steps)]
+        return model, state, metrics
+
+    @pytest.mark.parametrize("t1, t2", [(1, 1), (2, 3)])
+    @pytest.mark.parametrize("method", ["kfac", "deflation", "kfac_corrected"])
+    def test_two_lanes_step_in_lockstep_with_one(self, monkeypatch, method, t1, t2):
+        serial = self.run_steps(monkeypatch, 1, method, t1, t2)
+        seen = record_threads(monkeypatch)
+        parallel = self.run_steps(monkeypatch, 2, method, t1, t2)
+        assert len(set(seen)) == 2
+        (model_a, state_a, metrics_a), (model_b, state_b, metrics_b) = serial, parallel
+        for a, b in zip(model_a.weights, model_b.weights):
+            assert np.array_equal(a, b)
+        for a, b in zip(metrics_a, metrics_b):
+            assert (a.loss, a.nu, a.refreshed, a.rebuilt) == (b.loss, b.nu, b.refreshed, b.rebuilt)
+            assert a.degenerate == b.degenerate
+            for field in ("sigma1", "sigma2"):
+                assert np.array_equal(getattr(a, field) or [], getattr(b, field) or [],
+                                      equal_nan=True)
+        for ls_a, ls_b in zip(state_a.layer_states, state_b.layer_states):
+            for pa, pb in zip(ls_a.pairs, ls_b.pairs, strict=True):
+                assert np.array_equal(pa.left, pb.left) and np.array_equal(pa.right, pb.right)
+            assert type(ls_a.cache) is type(ls_b.cache)
+            for name, value in vars(ls_a.cache).items():
+                assert np.array_equal(value, getattr(ls_b.cache, name))
+
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_lowest_failing_layer_raises_and_keeps_its_cache(self, monkeypatch, lanes):
+        model, state, _ = self.run_steps(monkeypatch, lanes, "kfac", 100, 1, steps=2)
+        held = [ls.cache for ls in state.layer_states]
+        for ls in state.layer_states:
+            ls.pairs = tuple(KronPair(np.full_like(p.left, np.nan), p.right) for p in ls.pairs)
+        raised = {}
+
+        def rebuild(ls, damping, _fn=optim.rebuild_cache):
+            try:
+                _fn(ls, damping)
+            except NotPositiveDefiniteError as exc:
+                raised[id(ls)] = exc
+                raise
+
+        monkeypatch.setattr(optim, "rebuild_cache", rebuild)
+        x = np.random.default_rng(0).random((WIDE_BATCH, WIDE_DIMS[0]))
+        with pytest.raises(NotPositiveDefiniteError) as exc:
+            natural_step(model, (x, x), state, OptimizerConfig(method="kfac", t1=100, t2=1))
+        # two lanes rebuild both layers; one lane stops at the first, as a loop does
+        assert len(raised) == lanes
+        assert exc.value is raised[id(state.layer_states[0])]
+        assert [ls.cache for ls in state.layer_states] == held
+        assert state.iteration == 2
+
+    def test_more_lanes_than_cores_fill_every_slot(self, monkeypatch):
+        """Eight lanes over sixteen layers, switching threads every
+        microsecond: each result lands in its own layer's slot, and the
+        lowest-numbered failure is the one raised."""
+        monkeypatch.setattr(optim, "_lanes", lambda: 8)
+        monkeypatch.setattr(optim, "_pool", None)
+        costs = [optim._PARALLEL_FLOOR] * 16
+        assert len(optim._split(costs, 8)) == 8
+
+        def unit(i):
+            total = sum(range(20_000))  # interpreter work for the lanes to interleave
+            if i in (9, 5):
+                raise ValueError(i)
+            return i + total
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                with pytest.raises(ValueError, match="^5$"):
+                    optim._per_layer(costs, unit)
+                got = optim._per_layer(costs, lambda i: unit(i % 5))
+                assert got == [unit(i % 5) for i in range(16)]
+        finally:
+            sys.setswitchinterval(interval)
+            optim._pool.shutdown(wait=True, cancel_futures=True)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.integers(0, 2 ** 31), min_size=1, max_size=12),
+        st.integers(1, 4),
+    )
+    def test_split_bins_every_layer_once(self, costs, lanes):
+        bins = optim._split(costs, lanes)
+        assert sorted(i for b in bins for i in b) == list(range(len(costs)))
+        assert all(b == sorted(b) for b in bins)
+        loads = [sum(costs[i] for i in b) for b in bins]
+        if len(bins) == 1:
+            # serial: one lane, or some lane would carry less than the floor
+            assert lanes == 1 or len(costs) == 1 or any(
+                load < optim._PARALLEL_FLOOR
+                for load in self.lpt_loads(costs, min(lanes, len(costs)))
+            )
+        else:
+            assert len(bins) == min(lanes, len(costs))
+            assert min(loads) >= optim._PARALLEL_FLOOR
+            assert costs.index(max(costs)) in bins[0]
+
+    @staticmethod
+    def lpt_loads(costs, lanes):
+        loads = [0] * lanes
+        for c in sorted(costs, reverse=True):
+            loads[loads.index(min(loads))] += c
+        return loads
+
+    @pytest.mark.parametrize(
+        "env, cores, lanes",
+        [
+            ({}, 2, 1),
+            ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
+            ({"OPENBLAS_NUM_THREADS": "2"}, 2, 1),
+            ({"OPENBLAS_NUM_THREADS": "2"}, 8, 4),
+            ({"OPENBLAS_NUM_THREADS": "3"}, 2, 1),
+            ({"OMP_NUM_THREADS": "1"}, 4, 4),
+            ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 4, 1),
+            ({"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "2"}, 4, 2),
+            ({"OPENBLAS_NUM_THREADS": "0"}, 4, 1),
+        ],
+    )
+    def test_lanes_are_cores_over_blas_threads(self, monkeypatch, env, cores, lanes):
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        monkeypatch.setattr(optim.os, "sched_getaffinity", lambda pid: set(range(cores)))
+        assert optim._lanes() == lanes
+
+    def test_import_starts_no_thread(self):
+        src = str(Path(optim.__file__).resolve().parent.parent)
+        code = "import threading, kronfisher.optim; print(threading.active_count())"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "1"
+
+    def test_a_light_net_steps_on_the_calling_thread(self, monkeypatch):
+        """Below the floor two lanes run serially: no thread is started or used."""
+        seen = record_threads(monkeypatch)
+        before = threading.active_count()
+        monkeypatch.setattr(optim, "_lanes", lambda: 2)
+        rng = np.random.default_rng(22)
+        model = tiny_model(rng, dims=(64, 32, 16, 6, 16, 32, 64))
+        batch = tiny_batch(rng, model, m=64)
+        config = OptimizerConfig(method="kfac_corrected", lr=0.3, t1=1, t2=1)
+        state = init_train_state(model, config)
+        for _ in range(2):
+            natural_step(model, batch, state, config)
+        assert threading.active_count() == before
+        assert set(seen) == {threading.current_thread().name}
