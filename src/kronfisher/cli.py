@@ -108,6 +108,8 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
 
     if args.side < MIN_SIDE:
         args.usage_error(f"--side must be at least {MIN_SIDE}, got {args.side}")
+    if args.n < 1:
+        args.usage_error(f"--n must be at least 1, got {args.n}")
     gen = gen_synthetic_curves if args.kind == "curves" else gen_gaussian_blobs
     data = gen(args.n, args.seed, side=args.side)
     save_idx(args.out, data.reshape(args.n, args.side, args.side))

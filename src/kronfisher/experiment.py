@@ -153,6 +153,11 @@ class ExperimentConfig:
         if not self.layer_dims or not self.activations or not self.loss:
             raise ValueError("architecture underspecified: need layer_dims, activations, loss")
         check_architecture(self.layer_dims, self.activations, self.loss)
+        if self.layer_dims[-1] != self.layer_dims[0]:
+            raise ValueError(
+                f"output width {self.layer_dims[-1]} must equal input width "
+                f"{self.layer_dims[0]}: the target of a batch is the batch"
+            )
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.n_train < 1 or self.n_val < 0:

@@ -53,11 +53,13 @@ _LOG_EPS = 1e-12
 
 
 def check_architecture(layer_dims: list[int], activations: list[str], loss: str) -> None:
-    """Refuse a network that cannot be built: fewer than two widths, an
-    activation count other than the layer count, an unknown activation or
-    loss, or bce without a sigmoid output layer."""
+    """Refuse a network that cannot be built: fewer than two widths, a
+    width below 1, an activation count other than the layer count, an
+    unknown activation or loss, or bce without a sigmoid output layer."""
     if len(layer_dims) < 2:
         raise ValueError("need at least an input and an output layer")
+    if min(layer_dims) < 1:
+        raise ValueError(f"layer widths must be >= 1, got {layer_dims}")
     if len(activations) != len(layer_dims) - 1:
         raise ValueError(
             f"{len(layer_dims) - 1} layers need as many activations, got {len(activations)}"

@@ -25,15 +25,13 @@ OMP_NUM_THREADS), capped at the layer count; it is 1 when neither is
 set, since BLAS then takes every core.  Each section bins its layers
 largest first, each to the lightest bin so far, by multiply-adds:
 m (d^2 + dp^2) + d^3 + dp^3 for a step-3 unit, `precond.apply_order`'s
-count for a step-4 apply.  The calling thread runs the first bin and a
-pool the others, each bin in ascending layer order and each layer's unit
-whole.  A section whose lightest bin falls below `_PARALLEL_FLOOR` runs
-on the calling thread as loops: every layer's factors, then every
-layer's rebuild (whole units measured 2-7% slower on `curves_desk`).  A
-layer makes the same BLAS calls in the same order on any lane, so
-weights and every `StepMetrics` field are bit-identical for every W at a
-fixed BLAS setting.  On several lanes every layer of a section runs even
-when one fails, and the lowest-numbered failure is raised.
+count for a step-4 apply; a section whose lightest bin falls below
+`_PARALLEL_FLOOR` is one bin.  The calling thread runs the first bin and
+a pool the others, each bin in ascending layer order and each layer's
+unit whole.  A layer makes the same BLAS calls in the same order on any
+lane, so weights and every `StepMetrics` field are bit-identical for
+every W at a fixed BLAS setting.  A lane stops at its first failing
+layer, and the lowest-numbered failure is raised.
 
 The true-target backward comes last so that its per-sample rows are
 never held at the same time as the sampled ones or a rebuild's
@@ -271,20 +269,17 @@ def _split(costs: list[int], lanes: int) -> list[list[int]]:
     return [sorted(b) for b in bins]
 
 
-def _per_layer(costs: list[int], *phases: Callable[[int], object]) -> list:
-    """Run every phase on every layer index; the first phase's results, in layer order.
+def _per_layer(costs: list[int], unit: Callable[[int], object]) -> list:
+    """Run `unit` on every layer index; its results, in layer order.
 
-    On one lane the phases run as loops, each over all layers before the
-    next.  On the lanes of `_split`, each lane runs every phase of a layer
-    before its next layer, the calling thread the first bin and the pool
-    the others; every layer then runs even when another fails, and the
-    lowest-numbered failure is raised.
+    The calling thread runs the first bin of `_split` and the pool the
+    others.  A bin stops at its first failing layer and the lowest-numbered
+    failure is raised: as each bin runs in ascending order, none skips a
+    lower failure.
     """
     bins = _split(costs, _lanes())
-    if len(bins) == 1:
-        return [[phase(i) for i in bins[0]] for phase in phases][0]
     global _pool
-    if _pool is None:
+    if _pool is None and len(bins) > 1:
         _pool = ThreadPoolExecutor(_lanes() - 1, thread_name_prefix="kronfisher-layer")
     results = [None] * len(costs)
     errors = {}
@@ -293,9 +288,10 @@ def _per_layer(costs: list[int], *phases: Callable[[int], object]) -> list:
         # each layer writes only its own slot
         for i in layers:
             try:
-                results[i] = [phase(i) for phase in phases][0]
+                results[i] = unit(i)
             except Exception as exc:  # re-raised below, lowest layer first
                 errors[i] = exc
+                return
 
     futures = [_pool.submit(run, b) for b in bins[1:]]
     run(bins[0])
@@ -328,19 +324,21 @@ def natural_step(
             _, stats = backward(model, acts, sampled, grads=False)
         factorize = fz.FACTORIZERS[config.method]
 
-        def blend(i):
-            # only the sigmas leave, so the fresh pairs are freed before the
-            # rebuild, while another lane's unit may be at its own peak
-            result = factorize(stats, i + 1, config.svd_eps)
-            update_factors(state.layer_states[i], result, k, EMA_DECAY)
-            return result.sigma(0), result.sigma(1), result.degenerate
-
-        def rebuild(i):
-            rebuild_cache(state.layer_states[i], config.damping)
+        def unit(i):
+            report = None
+            if refreshed:
+                result = factorize(stats, i + 1, config.svd_eps)
+                update_factors(state.layer_states[i], result, k, EMA_DECAY)
+                report = result.sigma(0), result.sigma(1), result.degenerate
+                # only the sigmas leave, so the fresh pairs are freed before the
+                # rebuild, while another lane's unit may be at its own peak
+                del result
+            if rebuilt:
+                rebuild_cache(state.layer_states[i], config.damping)
+            return report
 
         costs = [m * (d * d + dp * dp) + d ** 3 + dp ** 3 for dp, d in shapes]
-        phases = ([blend] if refreshed else []) + ([rebuild] if rebuilt else [])
-        reports = _per_layer(costs, *phases)
+        reports = _per_layer(costs, unit)
         del stats
         if refreshed:
             sigma1, sigma2, degenerate = (list(column) for column in zip(*reports))

@@ -852,9 +852,18 @@ class TestCli:
             ({"preset": "curves_desk", "side": -8},
              "synthetic_curves: side -8 must be the square root of network input width 64, "
              "which is 8"),
+            # a zero width used to train with degenerate factor traces
+            ({"layer_dims": [64, 0, 64], "activations": ["relu", "sigmoid"]},
+             "layer widths must be >= 1, got [64, 0, 64]"),
+            # a negative width used to crash in init_mlp
+            ({"layer_dims": [64, -3, 64], "activations": ["relu", "sigmoid"]},
+             "layer widths must be >= 1, got [64, -3, 64]"),
+            # the target is the batch, so this used to crash at the first step
+            ({"layer_dims": [64, 32, 16], "activations": ["relu", "sigmoid"]},
+             "output width 16 must equal input width 64: the target of a batch is the batch"),
         ],
         ids=["curves-side", "faces-width", "batch-size", "curves-width-1", "faces-side",
-             "curves-negative-side"],
+             "curves-negative-side", "width-0", "width-negative", "output-width"],
     )
     def test_data_shape_errors_are_usage_errors(self, tmp_path, capsys, raw, message):
         """Refused at load with one error line and exit 2, before any data
@@ -879,6 +888,19 @@ class TestCli:
         assert exc.value.code == 2
         assert capsys.readouterr().err.splitlines()[-1] == (
             f"kronfisher gen-data: error: --side must be at least 2, got {side}"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["curves", "blobs"])
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_gen_data_n_below_one_is_a_usage_error(self, tmp_path, capsys, kind, n):
+        """-1 used to end in a numpy traceback and 0 to write an IDX file of no images."""
+        out = tmp_path / "data.idx"
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-data", "--kind", kind, "--n", str(n), "--out", str(out)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"kronfisher gen-data: error: --n must be at least 1, got {n}"
         )
         assert not out.exists()
 

@@ -369,6 +369,8 @@ class TestErrorProbe:
 # two layers whose units and applies both clear optim._PARALLEL_FLOOR at m = 256
 WIDE_DIMS = (400, 300, 400)
 WIDE_BATCH = 256
+# the curves_desk net, whose every section stays below optim._PARALLEL_FLOOR
+DESK_DIMS = (64, 32, 16, 6, 16, 32, 64)
 
 
 def record_threads(monkeypatch):
@@ -437,24 +439,36 @@ class TestLayerParallel:
         x = np.random.default_rng(0).random((WIDE_BATCH, WIDE_DIMS[0]))
         with pytest.raises(NotPositiveDefiniteError) as exc:
             natural_step(model, (x, x), state, OptimizerConfig(method="kfac", t1=100, t2=1))
-        # two lanes rebuild both layers; one lane stops at the first, as a loop does
+        # each lane stops at its first failure: one lane at layer 1, two at both
         assert len(raised) == lanes
         assert exc.value is raised[id(state.layer_states[0])]
         assert [ls.cache for ls in state.layer_states] == held
         assert state.iteration == 2
 
-    def test_more_lanes_than_cores_fill_every_slot(self, monkeypatch):
-        """Eight lanes over sixteen layers, switching threads every
-        microsecond: each result lands in its own layer's slot, and the
-        lowest-numbered failure is the one raised."""
-        monkeypatch.setattr(optim, "_lanes", lambda: 8)
+    @pytest.mark.parametrize("lanes", [1, 2, 8])
+    def test_more_lanes_than_cores_fill_every_slot(self, monkeypatch, lanes):
+        """Up to eight lanes over sixteen layers, switching threads every
+        microsecond: each result lands in its own layer's slot, the
+        lowest-numbered failure is the one raised, and each lane stops at
+        its first failure."""
+        monkeypatch.setattr(optim, "_lanes", lambda: lanes)
         monkeypatch.setattr(optim, "_pool", None)
         costs = [optim._PARALLEL_FLOOR] * 16
-        assert len(optim._split(costs, 8)) == 8
+        bins = optim._split(costs, lanes)
+        assert len(bins) == lanes
+        failing = (9, 5)
+        expected = []
+        for b in bins:
+            for i in b:
+                expected.append(i)
+                if i in failing:
+                    break
+        ran = []
 
         def unit(i):
+            ran.append(i)
             total = sum(range(20_000))  # interpreter work for the lanes to interleave
-            if i in (9, 5):
+            if i in failing:
                 raise ValueError(i)
             return i + total
 
@@ -462,13 +476,42 @@ class TestLayerParallel:
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(5):
+                ran.clear()
                 with pytest.raises(ValueError, match="^5$"):
                     optim._per_layer(costs, unit)
+                assert sorted(ran) == sorted(expected)
                 got = optim._per_layer(costs, lambda i: unit(i % 5))
                 assert got == [unit(i % 5) for i in range(16)]
         finally:
             sys.setswitchinterval(interval)
-            optim._pool.shutdown(wait=True, cancel_futures=True)
+            if optim._pool is not None:
+                optim._pool.shutdown(wait=True, cancel_futures=True)
+
+    def test_one_lane_runs_whole_units(self, monkeypatch):
+        """One lane factors and rebuilds each layer before the next, as the lanes do."""
+        monkeypatch.setattr(optim, "_lanes", lambda: 1)
+        rng = np.random.default_rng(23)
+        model = tiny_model(rng, dims=DESK_DIMS)
+        batch = tiny_batch(rng, model, m=64)
+        config = OptimizerConfig(method="kfac", t1=1, t2=1)
+        state = init_train_state(model, config)
+        calls = []
+
+        def factorize(stats, layer, eps, _fn=FACTORIZERS["kfac"]):
+            calls.append(("factorize", layer))
+            return _fn(stats, layer, eps)
+
+        def rebuild(ls, damping, _fn=optim.rebuild_cache):
+            calls.append(("rebuild", [id(s) for s in state.layer_states].index(id(ls)) + 1))
+            return _fn(ls, damping)
+
+        monkeypatch.setitem(FACTORIZERS, "kfac", factorize)
+        monkeypatch.setattr(optim, "rebuild_cache", rebuild)
+        for _ in range(2):
+            natural_step(model, batch, state, config)
+        unit = [(phase, layer) for layer in range(1, len(DESK_DIMS))
+                for phase in ("factorize", "rebuild")]
+        assert calls == unit * 2
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(
@@ -535,7 +578,7 @@ class TestLayerParallel:
         before = threading.active_count()
         monkeypatch.setattr(optim, "_lanes", lambda: 2)
         rng = np.random.default_rng(22)
-        model = tiny_model(rng, dims=(64, 32, 16, 6, 16, 32, 64))
+        model = tiny_model(rng, dims=DESK_DIMS)
         batch = tiny_batch(rng, model, m=64)
         config = OptimizerConfig(method="kfac_corrected", lr=0.3, t1=1, t2=1)
         state = init_train_state(model, config)
