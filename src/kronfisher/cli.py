@@ -17,6 +17,7 @@ import argparse
 import json
 import logging
 import sys
+from pathlib import Path
 
 
 def _add_config_args(p: argparse.ArgumentParser) -> None:
@@ -91,7 +92,10 @@ def _cmd_gridsearch(args: argparse.Namespace) -> int:
 
     config = _load_config(args)
     axes = {"etas": args.eta, "lambdas": args.damping_grid, "clips": args.clip_grid}
-    summary = grid_search(config, **{k: tuple(v) for k, v in axes.items() if v})
+    try:
+        summary = grid_search(config, **{k: tuple(v) for k, v in axes.items() if v})
+    except ValueError as exc:
+        args.usage_error(str(exc))
     best = summary["best"]
     if best is None:
         print("no grid point finished; see gridsearch_summary.json")
@@ -112,6 +116,7 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
         args.usage_error(f"--n must be at least 1, got {args.n}")
     gen = gen_synthetic_curves if args.kind == "curves" else gen_gaussian_blobs
     data = gen(args.n, args.seed, side=args.side)
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     save_idx(args.out, data.reshape(args.n, args.side, args.side))
     print(f"wrote {args.n} {args.side}x{args.side} images to {args.out}")
     return 0

@@ -392,34 +392,33 @@ def grid_search(
     """Sweep learning rate (and damping/clip for second-order methods).
 
     Returns a summary dict with one entry per setting and the best one by
-    final training loss.  A run whose loss goes non-finite, or whose damped
-    factors lose definiteness or turn singular (`np.linalg.LinAlgError`),
-    is recorded as diverged, not fatal.
+    final training loss.  Every point is checked before the first run, so a
+    refused one raises `ValueError` with nothing trained or written.  A run
+    whose loss goes non-finite, or whose damped factors lose definiteness
+    or turn singular (`np.linalg.LinAlgError`), is recorded as diverged.
     """
     second_order = config.optimizer.method in SECOND_ORDER_METHODS
     if not second_order:
         lambdas, clips = (config.optimizer.damping,), (config.optimizer.clip,)
+    optimizers = [
+        replace(config.optimizer, lr=eta, damping=lam, clip=clip)
+        for eta in etas for lam in lambdas for clip in clips
+    ]
     runs = []
-    for eta in etas:
-        for lam in lambdas:
-            for clip in clips:
-                tag = f"eta{eta:g}_lam{lam:g}_clip{clip:g}"
-                sub = replace(
-                    config,
-                    optimizer=replace(config.optimizer, lr=eta, damping=lam, clip=clip),
-                    out_dir=str(Path(config.out_dir) / tag),
-                )
-                entry = {"eta": eta, "damping": lam, "clip": clip}
-                try:
-                    result = run_experiment(sub, write_artifacts=write_artifacts)
-                    entry["final_train_loss"] = result.summary["final_train_loss"]
-                    entry["epoch_train_loss"] = result.summary["epoch_train_loss"]
-                    entry["status"] = "ok"
-                except (RuntimeError, FloatingPointError, np.linalg.LinAlgError) as exc:
-                    logger.warning("grid point %s diverged: %s", tag, exc)
-                    entry["final_train_loss"] = float("nan")
-                    entry["status"] = f"diverged: {exc}"
-                runs.append(entry)
+    for opt in optimizers:
+        tag = f"eta{opt.lr:g}_lam{opt.damping:g}_clip{opt.clip:g}"
+        sub = replace(config, optimizer=opt, out_dir=str(Path(config.out_dir) / tag))
+        entry = {"eta": opt.lr, "damping": opt.damping, "clip": opt.clip}
+        try:
+            result = run_experiment(sub, write_artifacts=write_artifacts)
+            entry["final_train_loss"] = result.summary["final_train_loss"]
+            entry["epoch_train_loss"] = result.summary["epoch_train_loss"]
+            entry["status"] = "ok"
+        except (RuntimeError, FloatingPointError, np.linalg.LinAlgError) as exc:
+            logger.warning("grid point %s diverged: %s", tag, exc)
+            entry["final_train_loss"] = float("nan")
+            entry["status"] = f"diverged: {exc}"
+        runs.append(entry)
     ok = [r for r in runs if r["status"] == "ok"]
     best = min(ok, key=lambda r: r["final_train_loss"]) if ok else None
     out = {"method": config.optimizer.method, "runs": runs, "best": best}

@@ -6,13 +6,14 @@ The natural step at iteration k (1-based):
 2. on factor-refresh iterations (k == 1 or k % t1 == 0), backward with
    targets sampled from the model's own predictive distribution,
    reusing the same forward pass and forming no gradients;
-3. on factor-refresh or inverse-refresh iterations (k == 1 or
-   k % t2 == 0), one unit per layer: on a factor refresh, refresh the
-   layer's factor pairs with the method's row of
-   `factorizations.FACTORIZERS` (exact solves, blended into a moving
-   average); on an inverse refresh, then rebuild its damped inverse
-   cache, the two-term congruence solve for a layer holding two pairs
-   and the plain Kronecker inverse for one holding a single pair;
+3. on the same iterations, one unit per layer: refresh the layer's
+   factor pairs with the method's row of `factorizations.FACTORIZERS`
+   (exact solves, blended into a moving average), then, at the first
+   refresh at or after each multiple of t2 (k == 1 or k % t2 < t1, so
+   every refresh when t2 <= t1), rebuild its damped inverse cache, the
+   two-term congruence solve for two pairs and the plain Kronecker
+   inverse for one.  The cache is a function of the pairs and the
+   damping alone, so only a refresh gives a rebuild anything new;
 4. backward with the true targets, precondition each layer gradient
    with its cached inverses, handing each layer its per-sample rows so
    a wide layer can take the cheaper order
@@ -315,24 +316,20 @@ def natural_step(
     shapes = [w.shape for w in model.weights]
 
     refreshed = k == 1 or k % config.t1 == 0
-    rebuilt = k == 1 or k % config.t2 == 0
+    rebuilt = refreshed and (k == 1 or k % config.t2 < config.t1)
     sigma1 = sigma2 = degenerate = None
-    if refreshed or rebuilt:
-        stats = None
-        if refreshed:
-            sampled = sample_targets(acts[-1], model.loss, state.sample_rng)
-            _, stats = backward(model, acts, sampled, grads=False)
+    if refreshed:
+        sampled = sample_targets(acts[-1], model.loss, state.sample_rng)
+        _, stats = backward(model, acts, sampled, grads=False)
         factorize = fz.FACTORIZERS[config.method]
 
         def unit(i):
-            report = None
-            if refreshed:
-                result = factorize(stats, i + 1, config.svd_eps)
-                update_factors(state.layer_states[i], result, k, EMA_DECAY)
-                report = result.sigma(0), result.sigma(1), result.degenerate
-                # only the sigmas leave, so the fresh pairs are freed before the
-                # rebuild, while another lane's unit may be at its own peak
-                del result
+            result = factorize(stats, i + 1, config.svd_eps)
+            update_factors(state.layer_states[i], result, k, EMA_DECAY)
+            report = result.sigma(0), result.sigma(1), result.degenerate
+            # only the sigmas leave, so the fresh pairs are freed before the
+            # rebuild, while another lane's unit may be at its own peak
+            del result
             if rebuilt:
                 rebuild_cache(state.layer_states[i], config.damping)
             return report
@@ -340,8 +337,7 @@ def natural_step(
         costs = [m * (d * d + dp * dp) + d ** 3 + dp ** 3 for dp, d in shapes]
         reports = _per_layer(costs, unit)
         del stats
-        if refreshed:
-            sigma1, sigma2, degenerate = (list(column) for column in zip(*reports))
+        sigma1, sigma2, degenerate = (list(column) for column in zip(*reports))
 
     grads, rows = backward(model, acts, batch[1])
     precond = _per_layer(

@@ -1,10 +1,10 @@
 """From factor pairs to damped, invertible preconditioners.
 
 The per-layer lifecycle: factor pairs arrive every factor-refresh
-iteration and are folded into an exponential moving average; every
-inverse-refresh iteration the dominant pair is Tikhonov-damped with the
-trace-balanced split and an inverse cache is rebuilt; every optimization
-step applies the cached inverse to the layer gradient.
+iteration and are folded into an exponential moving average; on the
+refreshes that rebuild (`optim`) the dominant pair is Tikhonov-damped
+with the trace-balanced split and an inverse cache is rebuilt; every
+optimization step applies the cached inverse to the layer gradient.
 
 A state holds as many pairs as its first refresh brought, one or two,
 and later refreshes must bring the same number.  Either way the damped

@@ -1034,6 +1034,69 @@ class TestCli:
         assert "best sgd" in capsys.readouterr().out
         assert (tmp_path / "grid" / "gridsearch_summary.json").exists()
 
+    @pytest.mark.parametrize(
+        "method,flags,message",
+        [
+            ("sgd", ["--eta", "0.01", "-1"], "lr must be > 0"),
+            ("kfac", ["--damping-grid", "0.01", "0"],
+             "damping must be > 0 for second-order methods"),
+            ("kfac", ["--clip-grid", "0.01", "-1"], "clip must be > 0 for second-order methods"),
+        ],
+        ids=["eta", "damping", "clip"],
+    )
+    def test_gridsearch_checks_every_point_before_training(
+        self, tmp_path, monkeypatch, capsys, method, flags, message
+    ):
+        """A refused point anywhere in the grid is one error line and exit 2,
+        with no point trained and nothing written.  The points before it
+        used to train, and the refusal to end in a traceback."""
+        from kronfisher import experiment
+
+        trained = []
+
+        def spy(config, **kwargs):
+            trained.append(config)
+            return run_experiment(config, **kwargs)
+
+        monkeypatch.setattr(experiment, "run_experiment", spy)
+        out = tmp_path / "grid"
+        config = str(self.write_config(tmp_path))
+        with pytest.raises(SystemExit) as exc:
+            main(["gridsearch", "--config", config, "--method", method, "--eta", "0.01",
+                  *flags, "--out", str(out)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"kronfisher gridsearch: error: {message}"
+        )
+        assert trained == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["sgd", "adam"])
+    def test_gridsearch_ignores_damping_and_clip_grids_for_first_order(self, tmp_path, method):
+        rc = main(
+            [
+                "gridsearch",
+                "--config", str(self.write_config(tmp_path)),
+                "--method", method,
+                "--eta", "0.01",
+                "--damping-grid", "-1",
+                "--clip-grid", "0",
+                "--out", str(tmp_path / "grid"),
+            ]
+        )
+        assert rc == 0
+        summary = json.loads((tmp_path / "grid" / "gridsearch_summary.json").read_text())
+        assert [(r["eta"], r["damping"], r["status"]) for r in summary["runs"]] == [
+            (0.01, OptimizerConfig().damping, "ok")
+        ]
+
+    def test_gen_data_makes_the_output_directory(self, tmp_path):
+        """As `train --out` does; a missing directory used to end in a
+        FileNotFoundError traceback."""
+        out = tmp_path / "new" / "deeper" / "curves.idx"
+        assert main(["gen-data", "--n", "2", "--side", "8", "--out", str(out)]) == 0
+        assert load_idx(out).shape == (2, 64)
+
     def test_gen_data_subcommand(self, tmp_path, capsys):
         out = tmp_path / "curves.idx"
         rc = main(

@@ -152,14 +152,68 @@ class TestNaturalStepSchedule:
         for _ in range(6):
             m = natural_step(model, batch, state, config)
             flags.append((m.refreshed, m.rebuilt))
+        # k = 3 is the first refresh at or after k = 2, k = 6 the first at or after 4 and 6
         assert flags == [
             (True, True),
-            (False, True),
-            (True, False),
-            (False, True),
+            (False, False),
+            (True, True),
+            (False, False),
             (False, False),
             (True, True),
         ]
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(1, 8), st.integers(1, 8), st.integers(1, 40))
+    def test_rebuilds_follow_fresh_pairs(self, t1, t2, steps):
+        """A step rebuilds at k = 1 and at the first refresh at or after each
+        multiple of t2, and no rebuild sees the pairs its previous one saw."""
+        rng = np.random.default_rng(t1 * 100 + t2)
+        model = tiny_model(rng)
+        batch = tiny_batch(rng, model)
+        config = OptimizerConfig(method="kfac", lr=1e-2, t1=t1, t2=t2)
+        state = init_train_state(model, config)
+        seen = {}
+
+        def rebuild(ls, damping, _fn=optim.rebuild_cache):
+            pairs = [(p.left.copy(), p.right.copy()) for p in ls.pairs]
+            before = seen.get(id(ls))
+            assert before is None or not all(
+                np.array_equal(a, b) for old, new in zip(before, pairs) for a, b in zip(old, new)
+            )
+            seen[id(ls)] = pairs
+            return _fn(ls, damping)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(optim, "rebuild_cache", rebuild)
+            rebuilt = [k for k in range(1, steps + 1)
+                       if natural_step(model, batch, state, config).rebuilt]
+        refreshes = [k for k in range(1, steps + 1) if k == 1 or k % t1 == 0]
+        want = {1}
+        for multiple in range(t2, steps + 1, t2):
+            for k in refreshes:
+                if k >= multiple:
+                    want.add(k)
+                    break
+        assert rebuilt == sorted(want)
+
+    def test_rebuilds_only_after_refreshes(self, monkeypatch):
+        """At t1 = 20 and t2 = 5, 60 steps rebuild each layer at the four
+        refreshes, k = 1, 20, 40 and 60, and at no step between them."""
+        calls = []
+
+        def rebuild(ls, damping, _fn=optim.rebuild_cache):
+            calls.append(id(ls))
+            return _fn(ls, damping)
+
+        monkeypatch.setattr(optim, "rebuild_cache", rebuild)
+        rng = np.random.default_rng(24)
+        model = tiny_model(rng)
+        batch = tiny_batch(rng, model)
+        config = OptimizerConfig(method="kfac", lr=1e-3, t1=20, t2=5)
+        state = init_train_state(model, config)
+        for _ in range(60):
+            natural_step(model, batch, state, config)
+        assert [calls.count(id(ls)) for ls in state.layer_states] == [4, 4]
 
     def test_sigma_fields_only_on_refresh(self):
         rng = np.random.default_rng(3)
@@ -422,7 +476,7 @@ class TestLayerParallel:
 
     @pytest.mark.parametrize("lanes", [1, 2])
     def test_lowest_failing_layer_raises_and_keeps_its_cache(self, monkeypatch, lanes):
-        model, state, _ = self.run_steps(monkeypatch, lanes, "kfac", 100, 1, steps=2)
+        model, state, _ = self.run_steps(monkeypatch, lanes, "kfac", 3, 3, steps=2)
         held = [ls.cache for ls in state.layer_states]
         for ls in state.layer_states:
             ls.pairs = tuple(KronPair(np.full_like(p.left, np.nan), p.right) for p in ls.pairs)
@@ -437,8 +491,9 @@ class TestLayerParallel:
 
         monkeypatch.setattr(optim, "rebuild_cache", rebuild)
         x = np.random.default_rng(0).random((WIDE_BATCH, WIDE_DIMS[0]))
+        # step 3 blends fresh pairs into the poisoned ones and rebuilds from them
         with pytest.raises(NotPositiveDefiniteError) as exc:
-            natural_step(model, (x, x), state, OptimizerConfig(method="kfac", t1=100, t2=1))
+            natural_step(model, (x, x), state, OptimizerConfig(method="kfac", t1=3, t2=3))
         # each lane stops at its first failure: one lane at layer 1, two at both
         assert len(raised) == lanes
         assert exc.value is raised[id(state.layer_states[0])]
