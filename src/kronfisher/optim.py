@@ -23,16 +23,19 @@ The natural step at iteration k (1-based):
 The per-layer work of steps 3 and 4 runs on W lanes.  W is the usable
 cores over the BLAS threads per call (OPENBLAS_NUM_THREADS, then
 OMP_NUM_THREADS), capped at the layer count; it is 1 when neither is
-set, since BLAS then takes every core.  Each section bins its layers
-largest first, each to the lightest bin so far, by multiply-adds:
-m (d^2 + dp^2) + d^3 + dp^3 for a step-3 unit, `precond.apply_order`'s
-count for a step-4 apply; a section whose lightest bin falls below
-`_PARALLEL_FLOOR` is one bin.  The calling thread runs the first bin and
-a pool the others, each bin in ascending layer order and each layer's
-unit whole.  A layer makes the same BLAS calls in the same order on any
-lane, so weights and every `StepMetrics` field are bit-identical for
-every W at a fixed BLAS setting.  A lane stops at its first failing
-layer, and the lowest-numbered failure is raised.
+set, since BLAS then takes every core.  A step costs each layer's unit
+m (d^2 + dp^2) + d^3 + dp^3 multiply-adds, whatever the method, and both
+sections use that one list.  A section whose layers average at least
+`_PARALLEL_FLOOR` per lane runs on W lanes: the calling thread and W - 1
+pool threads each take the costliest layer left from one shared queue
+until it is empty, so the lanes balance by when their layers finish,
+not by the estimate.  Any other section runs on the calling thread in
+ascending layer order.  Each layer's unit runs whole on one thread and
+makes the same BLAS calls in the same order on any lane, so weights and
+every `StepMetrics` field are bit-identical for every W at a fixed BLAS
+setting.  Every layer runs, also after a failure, and the
+lowest-numbered failure is raised, so a failed step leaves the same
+layer states for every W.
 
 The true-target backward comes last so that its per-sample rows are
 never held at the same time as the sampled ones or a rebuild's
@@ -61,7 +64,6 @@ from .linalg import kron, spectrum
 from .mlp import MLPModel, backward, batch_loss, exact_fim_block, forward, sample_targets
 from .precond import (
     KronApprox,
-    apply_order,
     kl_clip,
     precondition_layer,
     rebuild_cache,
@@ -95,14 +97,15 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-# a layer-parallel section runs serially when its lightest bin would hold
-# fewer multiply-adds than this.  The refresh sets it: below it two lanes
-# lose, as two 42M units ([256, 256, 256] at m = 64) took 15.5 ms serially
-# and 17.9 ms on two lanes, their many small blocked-inverse calls queueing
-# on the interpreter lock, while two 133M units went from 36 to 25 ms.
-# Applies gain from about 7M (1.13 to 0.92 ms), so lighter applies than the
-# floor stay serial at some cost.  An empty two-lane section costs 65-100 us
-# (one BLAS thread, 2-vCPU Xeon VM)
+# a layer-parallel section runs serially when its layers' unit costs
+# average fewer multiply-adds per lane than this.  The refresh sets it:
+# below it two lanes lose, as two 42M units ([256, 256, 256] at m = 64)
+# took 15.5 ms serially and 17.9 ms on two lanes, their many small
+# blocked-inverse calls queueing on the interpreter lock, while two 133M
+# units went from 36 to 25 ms.  Applies gain from about 7M multiply-adds
+# of their own per lane (1.13 to 0.92 ms), so an apply whose units average
+# less than the floor stays serial at some cost.  An empty two-lane
+# section costs 65-100 us (one BLAS thread, 2-vCPU Xeon VM)
 _PARALLEL_FLOOR = 2 ** 26
 
 # created at the first section that runs on more than one lane
@@ -252,50 +255,41 @@ def _lanes() -> int:
     return 1
 
 
-def _split(costs: list[int], lanes: int) -> list[list[int]]:
-    """Layer indices binned for `lanes` lanes, each bin in ascending order.
-
-    Largest cost first, each layer goes to the lightest bin so far (LPT);
-    one lane, or a lightest bin below `_PARALLEL_FLOOR`, gives one bin of
-    every layer.
-    """
-    bins = [[] for _ in range(min(lanes, len(costs)))]
-    loads = [0] * len(bins)
-    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
-        b = loads.index(min(loads))
-        bins[b].append(i)
-        loads[b] += costs[i]
-    if len(bins) < 2 or min(loads) < _PARALLEL_FLOOR:
-        return [list(range(len(costs)))]
-    return [sorted(b) for b in bins]
-
-
 def _per_layer(costs: list[int], unit: Callable[[int], object]) -> list:
     """Run `unit` on every layer index; its results, in layer order.
 
-    The calling thread runs the first bin of `_split` and the pool the
-    others.  A bin stops at its first failing layer and the lowest-numbered
-    failure is raised: as each bin runs in ascending order, none skips a
-    lower failure.
+    On more than one lane, with `costs` averaging at least
+    `_PARALLEL_FLOOR` per lane, the calling thread and the pool pop the
+    costliest layer left from one queue until it is empty; otherwise the
+    calling thread runs the layers in ascending order.  Every layer runs
+    and the lowest-numbered failure is raised.
     """
-    bins = _split(costs, _lanes())
+    lanes = min(_lanes(), len(costs))
+    if lanes > 1 and sum(costs) >= lanes * _PARALLEL_FLOOR:
+        queue = sorted(range(len(costs)), key=costs.__getitem__)
+    else:
+        lanes = 1
+        queue = list(reversed(range(len(costs))))
     global _pool
-    if _pool is None and len(bins) > 1:
+    if _pool is None and lanes > 1:
         _pool = ThreadPoolExecutor(_lanes() - 1, thread_name_prefix="kronfisher-layer")
     results = [None] * len(costs)
     errors = {}
 
-    def run(layers):
-        # each layer writes only its own slot
-        for i in layers:
+    def run():
+        # list.pop is atomic, so each layer is taken once and writes only its own slot
+        while True:
+            try:
+                i = queue.pop()
+            except IndexError:
+                return
             try:
                 results[i] = unit(i)
             except Exception as exc:  # re-raised below, lowest layer first
                 errors[i] = exc
-                return
 
-    futures = [_pool.submit(run, b) for b in bins[1:]]
-    run(bins[0])
+    futures = [_pool.submit(run) for _ in range(lanes - 1)]
+    run()
     for future in futures:
         future.result()
     if errors:
@@ -313,7 +307,8 @@ def natural_step(
     acts, loss = _forward_loss(model, batch, state)
     k = state.iteration + 1
     m = batch[0].shape[0]
-    shapes = [w.shape for w in model.weights]
+    costs = [m * (d * d + dp * dp) + d ** 3 + dp ** 3
+             for dp, d in (w.shape for w in model.weights)]
 
     refreshed = k == 1 or k % config.t1 == 0
     rebuilt = refreshed and (k == 1 or k % config.t2 < config.t1)
@@ -334,14 +329,13 @@ def natural_step(
                 rebuild_cache(state.layer_states[i], config.damping)
             return report
 
-        costs = [m * (d * d + dp * dp) + d ** 3 + dp ** 3 for dp, d in shapes]
         reports = _per_layer(costs, unit)
         del stats
         sigma1, sigma2, degenerate = (list(column) for column in zip(*reports))
 
     grads, rows = backward(model, acts, batch[1])
     precond = _per_layer(
-        [apply_order(d, dp, m)[0] for dp, d in shapes],
+        costs,
         lambda i: precondition_layer(state.layer_states[i], grads[i], (rows.abar[i], rows.g[i])),
     )
     nu = kl_clip(precond, grads, config.clip)

@@ -55,7 +55,6 @@ __all__ = [
     "kl_clip",
     "update_factors",
     "rebuild_cache",
-    "apply_order",
     "precondition_layer",
 ]
 
@@ -103,9 +102,13 @@ class KronApprox:
 def ema_update(old: KronPair, new: KronPair, k: int, alpha: float) -> KronPair:
     """Decay old factors into new ones: rho*old + (1-rho)*new per factor.
 
-    rho = min(1 - 1/k, alpha) warms up from 0 at k=1 toward the cap.  The
-    blend is written into old's arrays, which are returned; it rounds as
-    the out-of-place expression does.
+    rho = min(1 - 1/k, alpha) warms up from 0 at k=1 toward the cap.
+    `optim` passes the iteration as k, not the refresh count, so the
+    warm-up counts iterations: at t1 = 100 the second refresh (k = 100)
+    already blends at 0.95, and after the j-th refresh the first one's
+    factors keep 0.95^(j-1) of the weight.  The blend is written into
+    old's arrays, which are returned; it rounds as the out-of-place
+    expression does.
     """
     if k < 1:
         raise ValueError("iteration counter must be >= 1")
@@ -240,14 +243,6 @@ def rebuild_cache(state: KronApprox, damping: float) -> None:
         )
 
 
-def apply_order(d: int, dp: int, m: int) -> tuple[int, bool]:
-    """Multiply-adds of the cheaper order for a dp x d gradient with m rows, and
-    whether that order is the rows one (the module docstring's rule)."""
-    dense = d * dp * (d + dp)
-    from_rows = m * (d * d + dp * dp + d * dp)
-    return (from_rows, True) if from_rows < dense else (dense, False)
-
-
 def precondition_layer(
     state: KronApprox,
     grad_w: np.ndarray,
@@ -265,7 +260,7 @@ def precondition_layer(
     one_pair = isinstance(cache, Rank1Cache)
     right, left = (cache.g_inv, cache.a_inv) if one_pair else (cache.k2.T, cache.k1)
     dp, d = grad_w.shape
-    if rows is None or not apply_order(d, dp, rows[0].shape[0])[1]:
+    if rows is None or rows[0].shape[0] * (d * d + dp * dp + d * dp) >= d * dp * (d + dp):
         w = right @ grad_w @ left
     else:
         abar, g = rows

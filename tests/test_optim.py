@@ -18,6 +18,7 @@ from numpy.testing import assert_allclose
 
 from conftest import make_model_stats
 from kronfisher import optim
+from kronfisher.experiment import ARCHITECTURES
 from kronfisher.factorizations import FACTORIZERS, KronPair
 from kronfisher.linalg import NotPositiveDefiniteError, kron, vec
 from kronfisher.mlp import backward, forward, init_mlp, sample_targets
@@ -474,8 +475,11 @@ class TestLayerParallel:
             for name, value in vars(ls_a.cache).items():
                 assert np.array_equal(value, getattr(ls_b.cache, name))
 
-    @pytest.mark.parametrize("lanes", [1, 2])
-    def test_lowest_failing_layer_raises_and_keeps_its_cache(self, monkeypatch, lanes):
+    def poisoned_step(self, monkeypatch, lanes):
+        """Two steps, then NaN left factors on both layers and a third step
+        that blends fresh pairs into them and rebuilds; returns the state,
+        the caches held before the third step, the raised exception and
+        the failures of each layer's rebuild."""
         model, state, _ = self.run_steps(monkeypatch, lanes, "kfac", 3, 3, steps=2)
         held = [ls.cache for ls in state.layer_states]
         for ls in state.layer_states:
@@ -491,33 +495,44 @@ class TestLayerParallel:
 
         monkeypatch.setattr(optim, "rebuild_cache", rebuild)
         x = np.random.default_rng(0).random((WIDE_BATCH, WIDE_DIMS[0]))
-        # step 3 blends fresh pairs into the poisoned ones and rebuilds from them
         with pytest.raises(NotPositiveDefiniteError) as exc:
             natural_step(model, (x, x), state, OptimizerConfig(method="kfac", t1=3, t2=3))
-        # each lane stops at its first failure: one lane at layer 1, two at both
-        assert len(raised) == lanes
-        assert exc.value is raised[id(state.layer_states[0])]
+        return state, held, exc.value, raised
+
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_lowest_failing_layer_raises_and_keeps_its_cache(self, monkeypatch, lanes):
+        state, held, exc, raised = self.poisoned_step(monkeypatch, lanes)
+        # every layer runs: both layers raise at either lane count
+        assert len(raised) == 2
+        assert exc is raised[id(state.layer_states[0])]
         assert [ls.cache for ls in state.layer_states] == held
         assert state.iteration == 2
+
+    def test_a_failed_step_leaves_the_same_state_on_any_lane_count(self, monkeypatch):
+        serial, _, exc_serial, raised_serial = self.poisoned_step(monkeypatch, 1)
+        parallel, _, exc_parallel, raised_parallel = self.poisoned_step(monkeypatch, 2)
+        assert exc_serial is raised_serial[id(serial.layer_states[0])]
+        assert exc_parallel is raised_parallel[id(parallel.layer_states[0])]
+        assert (type(exc_serial), str(exc_serial)) == (type(exc_parallel), str(exc_parallel))
+        assert serial.iteration == parallel.iteration == 2
+        for ls_a, ls_b in zip(serial.layer_states, parallel.layer_states, strict=True):
+            for pa, pb in zip(ls_a.pairs, ls_b.pairs, strict=True):
+                assert np.array_equal(pa.left, pb.left, equal_nan=True)
+                assert np.array_equal(pa.right, pb.right, equal_nan=True)
+            assert type(ls_a.cache) is type(ls_b.cache)
+            for name, value in vars(ls_a.cache).items():
+                assert np.array_equal(value, getattr(ls_b.cache, name))
 
     @pytest.mark.parametrize("lanes", [1, 2, 8])
     def test_more_lanes_than_cores_fill_every_slot(self, monkeypatch, lanes):
         """Up to eight lanes over sixteen layers, switching threads every
-        microsecond: each result lands in its own layer's slot, the
-        lowest-numbered failure is the one raised, and each lane stops at
-        its first failure."""
+        microsecond: every layer runs exactly once, also after a failure,
+        each result lands in its own layer's slot, and the lowest-numbered
+        failure is the one raised."""
         monkeypatch.setattr(optim, "_lanes", lambda: lanes)
         monkeypatch.setattr(optim, "_pool", None)
         costs = [optim._PARALLEL_FLOOR] * 16
-        bins = optim._split(costs, lanes)
-        assert len(bins) == lanes
         failing = (9, 5)
-        expected = []
-        for b in bins:
-            for i in b:
-                expected.append(i)
-                if i in failing:
-                    break
         ran = []
 
         def unit(i):
@@ -534,7 +549,8 @@ class TestLayerParallel:
                 ran.clear()
                 with pytest.raises(ValueError, match="^5$"):
                     optim._per_layer(costs, unit)
-                assert sorted(ran) == sorted(expected)
+                assert sorted(ran) == list(range(16))
+                ran.clear()
                 got = optim._per_layer(costs, lambda i: unit(i % 5))
                 assert got == [unit(i % 5) for i in range(16)]
         finally:
@@ -567,34 +583,6 @@ class TestLayerParallel:
         unit = [(phase, layer) for layer in range(1, len(DESK_DIMS))
                 for phase in ("factorize", "rebuild")]
         assert calls == unit * 2
-
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(
-        st.lists(st.integers(0, 2 ** 31), min_size=1, max_size=12),
-        st.integers(1, 4),
-    )
-    def test_split_bins_every_layer_once(self, costs, lanes):
-        bins = optim._split(costs, lanes)
-        assert sorted(i for b in bins for i in b) == list(range(len(costs)))
-        assert all(b == sorted(b) for b in bins)
-        loads = [sum(costs[i] for i in b) for b in bins]
-        if len(bins) == 1:
-            # serial: one lane, or some lane would carry less than the floor
-            assert lanes == 1 or len(costs) == 1 or any(
-                load < optim._PARALLEL_FLOOR
-                for load in self.lpt_loads(costs, min(lanes, len(costs)))
-            )
-        else:
-            assert len(bins) == min(lanes, len(costs))
-            assert min(loads) >= optim._PARALLEL_FLOOR
-            assert costs.index(max(costs)) in bins[0]
-
-    @staticmethod
-    def lpt_loads(costs, lanes):
-        loads = [0] * lanes
-        for c in sorted(costs, reverse=True):
-            loads[loads.index(min(loads))] += c
-        return loads
 
     @pytest.mark.parametrize(
         "env, cores, lanes",
@@ -641,3 +629,19 @@ class TestLayerParallel:
             natural_step(model, batch, state, config)
         assert threading.active_count() == before
         assert set(seen) == {threading.current_thread().name}
+
+    def test_a_curves_step_runs_both_sections_on_two_lanes(self, monkeypatch):
+        """The `curves` net at m = 256 clears the floor in both sections."""
+        seen = record_threads(monkeypatch)
+        monkeypatch.setattr(optim, "_lanes", lambda: 2)
+        rng = np.random.default_rng(24)
+        dims = ARCHITECTURES["curves"]["layer_dims"]
+        model = tiny_model(rng, dims=dims)
+        batch = tiny_batch(rng, model, m=256)
+        config = OptimizerConfig(method="kfac", t1=1, t2=1)
+        natural_step(model, batch, init_train_state(model, config), config)
+        layers = len(dims) - 1
+        # the refresh section's rebuilds all finish before the first apply
+        assert len(seen) == 2 * layers
+        assert len(set(seen[:layers])) == 2
+        assert len(set(seen[layers:])) == 2
