@@ -399,15 +399,16 @@ def fim_error_probe(
     Targets are sampled once from the model's predictive distribution and
     every method factors the same statistics, without moving-average
     blending, so the numbers compare approximation quality alone.  The
-    probed layer must be small enough to materialize densely.
+    probed layer must be small enough to materialize densely.  A zero
+    block (every sampled g row of the layer zero) reports absolute errors.
     """
     acts = forward(model, x)
     sampled = sample_targets(acts[-1], model.loss, rng)
     _, stats = backward(model, acts, sampled, grads=False)
     f = exact_fim_block(stats, layer)
-    f_norm = float(np.linalg.norm(f))
+    f_norm = float(np.linalg.norm(f)) or 1.0
     spec_f = spectrum(f)
-    spec_norm = float(np.linalg.norm(spec_f))
+    spec_norm = float(np.linalg.norm(spec_f)) or 1.0
     out = {}
     for method, factorize in fz.FACTORIZERS.items():
         pairs = factorize(stats, layer, eps).pairs

@@ -11,17 +11,16 @@ and later refreshes must bring the same number.  Either way the damped
 dominant pair goes through its Cholesky factors (`linalg.inv_chol`),
 which raise `NotPositiveDefiniteError` on a damped factor that is not
 positive definite or not finite.  One pair is inverted factor by factor
-(`Rank1Cache`, `linalg.spd_inv`).  Two pairs solve
-(A kron B + C kron D) x = vec(V) through the congruence diagonalization
-of C against A and D against B (`Rank2Cache`), which costs only
-matrix-size work, never Kronecker-size work, and raises
-`np.linalg.LinAlgError` on a singular sum.  A cache holds only what
-`precondition_layer` applies; a rebuild replaces it whole.
+(`linalg.spd_inv`).  Two pairs solve (A kron B + C kron D) x = vec(V)
+through the congruence diagonalization of C against A and D against B,
+which costs only matrix-size work, never Kronecker-size work, and raises
+`np.linalg.LinAlgError` on a singular sum.  A rebuild replaces the
+layer's `InverseCache` whole.
 
-Each cache gives a dp x dp right and a d x d left transform: g_inv and
-a_inv for one pair; k2^T and k1 for two, whose product is then divided
-by denom and taken back by k2 and k1^T.  `precondition_layer` forms
-right grad_w left at d * dp * (d + dp) multiply-adds or, handed the
+The cache holds a dp x dp right and a d x d left transform, g^-1 and
+a^-1 for one pair, k2^T and k1 (and denom) for two.  `precondition_layer`
+forms w = right grad_w left, then right^T (w / denom) left^T if there is
+a denom.  It forms w at d * dp * (d + dp) multiply-adds or, handed the
 batch's m per-sample rows (grad_w = g^T abar / m has rank at most m)
 with m * (d^2 + dp^2 + d * dp) < d * dp * (d + dp), the same product in
 a cheaper order, (right g^T)(abar left) / m (Ren & Goldfarb 2019 build
@@ -43,8 +42,8 @@ from .factorizations import FactorResult, KronPair
 from .linalg import EIG_CLAMP_REL, inv_chol, inv_sqrt, spd_inv, sym_eig  # noqa: F401
 
 __all__ = [
+    "InverseCache",
     "Rank1Cache",
-    "Rank2Cache",
     "KronApprox",
     "ema_update",
     "damping_pi",
@@ -61,26 +60,18 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 
-@dataclass
+# nothing instantiates it; benchmarks/harness.py imports the name
 class Rank1Cache:
-    """Explicit inverses of the damped dominant pair."""
-
-    a_inv: np.ndarray
-    g_inv: np.ndarray
+    pass
 
 
 @dataclass
-class Rank2Cache:
-    """Congruence factors for the two-term Kronecker sum solve.
+class InverseCache:
+    """A layer's inverse: right, left and, for two pairs, the denominators."""
 
-    k1/k2 are the left/right congruence transforms, denom the
-    elementwise denominator 1 + outer(s2, s1) of the two congruence
-    spectra, none of them numerically zero.
-    """
-
-    k1: np.ndarray
-    k2: np.ndarray
-    denom: np.ndarray
+    right: np.ndarray
+    left: np.ndarray
+    denom: np.ndarray | None = None
     # always 0.0: the solve is exact or raises; benchmarks/tracing.py reads it
     safeguarded_fraction = 0.0
 
@@ -90,7 +81,7 @@ class KronApprox:
     """Per-layer preconditioner state: averaged pairs and inverse cache."""
 
     pairs: tuple[KronPair, ...] | None = None
-    cache: Rank1Cache | Rank2Cache | None = None
+    cache: InverseCache | None = None
 
     # read-only label of the pair count; benchmarks/tracing.py reads it
     # after every rebuild
@@ -153,13 +144,14 @@ def kron_sum_prepare(
     b: np.ndarray,
     c: np.ndarray,
     d: np.ndarray,
-) -> Rank2Cache:
+) -> InverseCache:
     """Factor (a kron b + c kron d) exactly for repeated solves.
 
     a and b must be positive definite (the damped dominant pair); c and d
     only symmetric, so the sum may be indefinite.  With xa = `inv_chol`(a),
     which raises on a or b, and e1 the eigenvectors of xa c xa^T,
     k1 = xa^T e1 gives k1^T a k1 = I and k1^T c k1 = diag(s1); likewise k2.
+    Returns InverseCache(k2^T as a view, k1, denom = 1 + outer(s2, s1)).
     The sum is singular to working precision, and `np.linalg.LinAlgError`
     is raised, when a denominator 1 + x, x = s2_i*s1_j, has
     |1 + x| <= EIG_CLAMP_REL * (1 + |x|).
@@ -178,10 +170,10 @@ def kron_sum_prepare(
             f"two-term Kronecker sum is singular: {np.count_nonzero(unresolved)} of "
             f"{denom.size} denominators vanish, smallest |1 + s2*s1| {np.min(np.abs(denom)):.3e}"
         )
-    return Rank2Cache(k1, k2, denom)
+    return InverseCache(k2.T, k1, denom)
 
 
-def kron_sum_apply(cache: Rank2Cache, v: np.ndarray) -> np.ndarray:
+def kron_sum_apply(cache: InverseCache, v: np.ndarray) -> np.ndarray:
     """Solve the prepared two-term system for one right-hand side in matrix form."""
     return precondition_layer(KronApprox(cache=cache), v)
 
@@ -227,9 +219,10 @@ def update_factors(state: KronApprox, result: FactorResult, k: int, alpha: float
 def rebuild_cache(state: KronApprox, damping: float) -> None:
     """Damp the dominant averaged pair and rebuild the inverse cache.
 
-    One pair gets the rank-one cache, two pairs the congruence cache.  A
-    damped factor that is not finite and positive definite, or a singular
-    two-term sum, raises and leaves the previous cache in place.
+    One pair gets right = g_d^-1, left = a_d^-1 and no denom; two pairs
+    the congruence cache of `kron_sum_prepare`.  A damped factor that is
+    not finite and positive definite (the left one is checked first), or
+    a singular two-term sum, raises and leaves the previous cache in place.
     """
     if state.pairs is None:
         raise ValueError("no factors accumulated yet")
@@ -237,10 +230,8 @@ def rebuild_cache(state: KronApprox, damping: float) -> None:
     if len(state.pairs) == 2:
         state.cache = kron_sum_prepare(a_d, g_d, state.pairs[1].left, state.pairs[1].right)
     else:
-        state.cache = Rank1Cache(
-            spd_inv(a_d, context="left dominant factor"),
-            spd_inv(g_d, context="right dominant factor"),
-        )
+        left = spd_inv(a_d, context="left dominant factor")
+        state.cache = InverseCache(spd_inv(g_d, context="right dominant factor"), left)
 
 
 def precondition_layer(
@@ -248,7 +239,8 @@ def precondition_layer(
     grad_w: np.ndarray,
     rows: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Apply the cached inverse approximation to one layer gradient.
+    """Apply the cache to one layer gradient: w = right grad_w left, or
+    right^T (w / denom) left^T when the cache holds a denom.
 
     ``rows`` is the layer's per-sample (abar, g), m x d and m x dp, with
     grad_w = g^T abar / m; when the module docstring's rule favours them,
@@ -257,8 +249,7 @@ def precondition_layer(
     cache = state.cache
     if cache is None:
         raise ValueError("inverse cache has not been built")
-    one_pair = isinstance(cache, Rank1Cache)
-    right, left = (cache.g_inv, cache.a_inv) if one_pair else (cache.k2.T, cache.k1)
+    right, left = cache.right, cache.left
     dp, d = grad_w.shape
     if rows is None or rows[0].shape[0] * (d * d + dp * dp + d * dp) >= d * dp * (d + dp):
         w = right @ grad_w @ left
@@ -266,4 +257,4 @@ def precondition_layer(
         abar, g = rows
         w = (right @ g.T) @ (abar @ left)
         w /= abar.shape[0]
-    return w if one_pair else cache.k2 @ (w / cache.denom) @ cache.k1.T
+    return w if cache.denom is None else right.T @ (w / cache.denom) @ left.T

@@ -1,5 +1,7 @@
-"""The summary of tools/bench_pairs.py on canned result lines; no benchmark runs."""
+"""The summary and the run loop of tools/bench_pairs.py on canned result
+lines; no benchmark runs."""
 
+import json
 import sys
 from pathlib import Path
 
@@ -91,3 +93,57 @@ def test_the_table_flags_unresolved_metrics():
     rows = {row.split()[0]: row for row in table.splitlines()[1:]}
     assert "unresolved" in rows["step_s_p50"]
     assert "unresolved" not in rows["iters_per_s"]
+
+
+def write_spec(tree):
+    tree.mkdir()
+    (tree / "BENCHMARK.json").write_text(json.dumps({
+        "workloads": [{"name": "curves_steps"}, {"name": "desk_twoterm"}],
+        "end_to_end": SPEC,
+    }))
+
+
+@pytest.mark.parametrize("names", [["all"], ["desk_twoterm", "curves_refresh"]])
+def test_a_workload_outside_the_parents_list_is_a_usage_error(tmp_path, monkeypatch, capsys,
+                                                              names):
+    """`run.py --workload all` prefixes every metric with its workload, so
+    a summary by bare name would read "no values" after every run; such a
+    name, or one the parent does not gate, is refused before any run."""
+    write_spec(tmp_path / "parent")
+    runs = []
+    monkeypatch.setattr(bench_pairs, "run_once", lambda tree, workload: runs.append(workload))
+    with pytest.raises(SystemExit) as exit_:
+        bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"), *names, "3"])
+    assert exit_.value.code == 2
+    assert runs == []
+    assert "unknown workload" in capsys.readouterr().err
+
+
+def test_each_pair_runs_every_workload_in_both_trees(tmp_path, monkeypatch, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    write_spec(parent)
+    runs = []
+
+    def run_once(tree, workload):
+        runs.append((tree.name, workload))
+        step = {"curves_steps": 2.0, "desk_twoterm": 1.0}[workload]
+        return line(step if tree == parent else step / 2, 10.0)
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    argv = [str(parent), str(change), "desk_twoterm", "curves_steps", "2"]
+    assert bench_pairs.main(argv) == 0
+    # the order of the trees alternates between pairs, for every workload
+    assert runs == [
+        ("parent", "desk_twoterm"), ("change", "desk_twoterm"),
+        ("parent", "curves_steps"), ("change", "curves_steps"),
+        ("change", "desk_twoterm"), ("parent", "desk_twoterm"),
+        ("change", "curves_steps"), ("parent", "curves_steps"),
+    ]
+    out = capsys.readouterr().out
+    assert "no values" not in out
+    tables = dict(table.split("\n", 1) for table in out.split("== ")[1:])
+    assert list(tables) == ["desk_twoterm", "curves_steps"]
+    for workload, medians in [("desk_twoterm", ["1", "0.5"]), ("curves_steps", ["2", "1"])]:
+        rows = {row.split()[0]: row.split() for row in tables[workload].splitlines()[1:]}
+        assert rows["step_s_p50"][1:3] == medians
+        assert rows["step_s_p50"][5] == "2/2"

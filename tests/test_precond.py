@@ -18,9 +18,8 @@ from kronfisher.factorizations import FactorResult, KronPair
 from kronfisher.linalg import NotPositiveDefiniteError, kron, vec
 from kronfisher.optim import EMA_DECAY
 from kronfisher.precond import (
+    InverseCache,
     KronApprox,
-    Rank1Cache,
-    Rank2Cache,
     apply_rank1_inverse,
     damp_pair,
     damping_pi,
@@ -255,7 +254,7 @@ def layer_rows(draw):
             rand_spd(rng, d), rand_spd(rng, dp), rand_sym(rng, d, 0.05), rand_sym(rng, dp, 0.05)
         )
     else:
-        cache = Rank1Cache(rand_spd(rng, d), rand_spd(rng, dp))
+        cache = InverseCache(rand_spd(rng, dp), rand_spd(rng, d))
     return KronApprox(cache=cache), rng.standard_normal((m, d)), rng.standard_normal((m, dp))
 
 
@@ -268,10 +267,9 @@ class TestApplyOrder:
         grad = g.T @ abar / m
         got = precondition_layer(state, grad, (abar, g))
         cache = state.cache
-        if isinstance(cache, Rank1Cache):
-            dense = cache.g_inv @ grad @ cache.a_inv
-        else:
-            dense = kron_sum_apply(cache, grad)
+        dense = cache.right @ grad @ cache.left
+        if cache.denom is not None:
+            dense = cache.right.T @ (dense / cache.denom) @ cache.left.T
         if rows_cheaper(m, d, dp):
             assert np.linalg.norm(got - dense) <= 1e-12 * np.linalg.norm(dense)
         else:
@@ -299,7 +297,7 @@ class TestApplyOrder:
     )
     def test_rule_picks_the_cheaper_order(self, m, d, dp, rows_order):
         """Rows of zeros against a gradient of ones show which order ran."""
-        state = KronApprox(cache=Rank1Cache(np.eye(d), np.eye(dp)))
+        state = KronApprox(cache=InverseCache(np.eye(dp), np.eye(d)))
         out = precondition_layer(state, np.ones((dp, d)), (np.zeros((m, d)), np.zeros((m, dp))))
         assert (not out.any()) == rows_order
 
@@ -463,7 +461,7 @@ class TestStateMachine:
         state = KronApprox()
         update_factors(state, make_result([KronPair(a, g)]), 1, 0.95)
         rebuild_cache(state, damping=1e-2)
-        assert isinstance(state.cache, Rank1Cache)
+        assert state.cache.denom is None
         w = rng.standard_normal((dp, d))
         a_d, g_d = damp_pair(a, g, 1e-2)
         assert_allclose(
@@ -482,7 +480,9 @@ class TestStateMachine:
         state = KronApprox()
         update_factors(state, make_result([KronPair(a, g), KronPair(c, d)]), 1, 0.95)
         rebuild_cache(state, damping=1e-2)
-        assert isinstance(state.cache, Rank2Cache)
+        # denom is dp x d; right is a view of k2, so right.T is k2 itself
+        assert state.cache.denom.shape == (2, 3)
+        assert state.cache.right.T.flags.c_contiguous
         w = rng.standard_normal((2, 3))
         a_d, g_d = damp_pair(a, g, 1e-2)
         want = np.linalg.solve(kron(a_d, g_d) + kron(c, d), vec(w))
@@ -499,7 +499,7 @@ class TestStateMachine:
         )
         rebuild_cache(state, damping=1e-3)
         old_cache = state.cache
-        assert isinstance(old_cache, Rank2Cache)
+        assert old_cache.denom is not None
         # corrector engineered to cancel the damped dominant product
         state.pairs = (state.pairs[0], KronPair(-a_d, g_d))
         with pytest.raises(np.linalg.LinAlgError, match="singular"):
@@ -535,10 +535,10 @@ class TestStateMachine:
         return old_cache
 
     def test_non_pd_rank1_raises_and_keeps_the_previous_cache(self):
-        assert isinstance(self.refuse_bad_factors(1), Rank1Cache)
+        assert self.refuse_bad_factors(1).denom is None
 
     def test_non_pd_rank2_raises_and_keeps_the_previous_cache(self):
-        assert isinstance(self.refuse_bad_factors(2), Rank2Cache)
+        assert self.refuse_bad_factors(2).denom is not None
 
     def test_curves_wide_factor_failing_in_a_schur_complement_keeps_the_cache(self):
         """Both diagonal blocks of the damped 785-row left factor are
@@ -550,7 +550,7 @@ class TestStateMachine:
         update_factors(state, make_result([KronPair(np.eye(785), g)]), 1, 0.95)
         rebuild_cache(state, damping=1e-3)
         old_cache = state.cache
-        assert isinstance(old_cache, Rank1Cache)
+        assert old_cache.denom is None
         bad = np.eye(785)
         bad[0, -1] = bad[-1, 0] = 2.0
         state.pairs = (KronPair(bad, g),)

@@ -1,11 +1,14 @@
 """Alternating benchmark pairs of two trees: a parent and a change.
 
-    python3 tools/bench_pairs.py PARENT_TREE CHANGE_TREE WORKLOAD PAIRS
+    python3 tools/bench_pairs.py PARENT_TREE CHANGE_TREE WORKLOAD [WORKLOAD ...] PAIRS
 
-Each pair runs ``python3 benchmarks/run.py --workload WORKLOAD --seed 1
---trace 0`` once in each tree, the parent first in even pairs and the
-change first in odd ones, and reads the JSON object on the last line of
-each run's output.  For every end-to-end metric of the parent tree's
+Each WORKLOAD must be named in the ``workloads`` list of the parent
+tree's BENCHMARK.json; any other name, ``all`` included, is a usage
+error before anything runs.  Each pair runs ``python3 benchmarks/run.py
+--workload WORKLOAD --seed 1 --trace 0`` for every named workload once
+in each tree, the parent first in even pairs and the change first in
+odd ones, and reads the JSON object on the last line of each run's
+output.  For each workload and every end-to-end metric of that
 BENCHMARK.json it then prints the parent and change medians, the
 parent's interquartile range, the number of pairs the change won (ties
 count for neither side) and ``unresolved`` where that range, relative
@@ -98,30 +101,39 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent", type=Path, help="tree of the parent commit")
     parser.add_argument("change", type=Path, help="tree of the change")
-    parser.add_argument("workload", help="one workload name of benchmarks/workloads.py")
+    parser.add_argument("workloads", nargs="+", metavar="workload",
+                        help="workload names of the parent tree's BENCHMARK.json")
     parser.add_argument("pairs", type=int, help="number of pairs to run")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error(f"pairs must be >= 1, got {args.pairs}")
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
+    known = [w["name"] for w in spec["workloads"]]
+    unknown = [w for w in args.workloads if w not in known]
+    if unknown:
+        parser.error(f"unknown workload(s) {unknown}; choose from {known}")
 
-    pairs = []
+    pairs = {workload: [] for workload in args.workloads}
     all_ok = True
     for k in range(args.pairs):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-        lines = {side: run_once(getattr(args, side), args.workload) for side in order}
-        ok = {side: run_ok(line) for side, line in lines.items()}
-        for side in order:
-            values = " ".join(f"{n}={m['value']:.10g}" for n, m in
-                              (lines[side] or {}).get("metrics", {}).items()
-                              if m["value"] is not None)
-            print(f"pair {k + 1} {side}: {'ok' if ok[side] else 'INCORRECT OR FAILED'} {values}",
-                  file=sys.stderr, flush=True)
-        if all(ok.values()):
-            pairs.append((lines["parent"], lines["change"]))
-        else:
-            all_ok = False
-    print(format_rows(summarize(spec["end_to_end"], pairs)))
+        for workload in pairs:
+            lines = {side: run_once(getattr(args, side), workload) for side in order}
+            ok = {side: run_ok(line) for side, line in lines.items()}
+            for side in order:
+                values = " ".join(f"{n}={m['value']:.10g}" for n, m in
+                                  (lines[side] or {}).get("metrics", {}).items()
+                                  if m["value"] is not None)
+                print(f"pair {k + 1} {workload} {side}: "
+                      f"{'ok' if ok[side] else 'INCORRECT OR FAILED'} {values}",
+                      file=sys.stderr, flush=True)
+            if all(ok.values()):
+                pairs[workload].append((lines["parent"], lines["change"]))
+            else:
+                all_ok = False
+    for workload, got in pairs.items():
+        print(f"== {workload}")
+        print(format_rows(summarize(spec["end_to_end"], got)))
     return 0 if all_ok else 1
 
 
