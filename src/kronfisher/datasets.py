@@ -37,7 +37,7 @@ MIN_SIDE = 2
 _SPLAT_BLOCK = 32
 
 
-def gen_synthetic_curves(n: int, seed: int, side: int = 28) -> np.ndarray:
+def gen_synthetic_curves(n: int, seed: int, side: int) -> np.ndarray:
     """Random cubic Bezier strokes on a side x side grid, flattened rows in [0, 1].
 
     Each stroke point adds its bilinear weights to the four pixels around
@@ -70,7 +70,7 @@ def gen_synthetic_curves(n: int, seed: int, side: int = 28) -> np.ndarray:
     return images
 
 
-def gen_gaussian_blobs(n: int, seed: int, side: int = 25) -> np.ndarray:
+def gen_gaussian_blobs(n: int, seed: int, side: int) -> np.ndarray:
     """Sums of a few random Gaussian bumps; a stand-in for face-like images."""
     rng = np.random.default_rng(seed)
     yy, xx = np.mgrid[0:side, 0:side].astype(np.float64)

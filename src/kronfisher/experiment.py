@@ -335,15 +335,16 @@ def run_experiment(config: ExperimentConfig, write_artifacts: bool = True) -> Ru
                 for name, err in errors.items():
                     extra[f"err_frob_{name}"] = err.frobenius
                     extra[f"err_spec_{name}"] = err.spectral
-            rec = MetricRecord(
+            records.append(MetricRecord(
                 iteration=state.iteration,
                 epoch=epoch,
                 train_loss=metrics.loss,
                 nu=metrics.nu,
                 wall_clock_seconds=time.perf_counter() - started,
                 extra=extra,
-            )
-            records.append(rec)
+            ))
+            # free the step's directions, as large as the weights, before the next step
+            del metrics
         if len(val):
             records[-1].val_loss = batch_loss(forward(model, val)[-1], val, config.loss)
         epoch_train_loss.append(float(np.mean(losses)))

@@ -41,10 +41,10 @@ The true-target backward comes last so that its per-sample rows are
 never held at the same time as the sampled ones or a rebuild's
 temporaries.  The first-order baselines share step 1, then backward
 with the true targets and take a heavy-ball (sgd) or bias-corrected
-Adam update whose 1-based step is k.  The moving-average
-cap `EMA_DECAY` (KFAC's 0.95), SGD's heavy-ball `SGD_MOMENTUM` (0.9) and
-Adam's moments `ADAM_BETA1`, `ADAM_BETA2`, `ADAM_EPS` (Kingma & Ba's) are
-constants, not settings.
+Adam update whose 1-based step is k.  SGD's heavy-ball `SGD_MOMENTUM`
+(0.9) and Adam's moments `ADAM_BETA1`, `ADAM_BETA2`, `ADAM_EPS` (Kingma &
+Ba's) are constants that `sgd_step` and `adam_step` read, not settings;
+so is the moving-average cap, `precond.EMA_DECAY` (KFAC's 0.95).
 
 All randomness flows through explicit generators in `TrainState`, so a
 run is a pure function of (config, seeds).
@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -91,7 +91,6 @@ FIRST_ORDER_METHODS = ("sgd", "adam")
 SECOND_ORDER_METHODS = tuple(fz.FACTORIZERS)
 METHODS = FIRST_ORDER_METHODS + SECOND_ORDER_METHODS
 
-EMA_DECAY = 0.95
 SGD_MOMENTUM = 0.9
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -128,17 +127,17 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
-        if self.lr <= 0.0:
-            raise ValueError("lr must be > 0")
+        if not 0.0 < self.lr < np.inf:
+            raise ValueError("lr must be > 0 and finite")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.method in SECOND_ORDER_METHODS:
-            if self.damping <= 0.0:
-                raise ValueError("damping must be > 0 for second-order methods")
-            if self.clip <= 0.0:
-                raise ValueError("clip must be > 0 for second-order methods")
+            if not 0.0 < self.damping < np.inf:
+                raise ValueError("damping must be > 0 and finite for second-order methods")
+            if not 0.0 < self.clip < np.inf:
+                raise ValueError("clip must be > 0 and finite for second-order methods")
             if self.t1 < 1 or self.t2 < 1:
                 raise ValueError("refresh periods must be >= 1")
 
@@ -147,12 +146,12 @@ class OptimizerConfig:
 class TrainState:
     """Mutable between-step state; create with `init_train_state`."""
 
+    sample_rng: np.random.Generator
     iteration: int = 0
     layer_states: list[KronApprox] | None = None
     velocity: list[np.ndarray] | None = None
     m1: list[np.ndarray] | None = None
     m2: list[np.ndarray] | None = None
-    sample_rng: np.random.Generator = field(default_factory=np.random.default_rng)
 
 
 @dataclass
@@ -180,8 +179,8 @@ class ProbeErrors:
 
 
 def init_train_state(model: MLPModel, config: OptimizerConfig, sample_rng=None) -> TrainState:
-    state = TrainState()
-    state.sample_rng = sample_rng if sample_rng is not None else np.random.default_rng(config.seed)
+    rng = sample_rng if sample_rng is not None else np.random.default_rng(config.seed)
+    state = TrainState(rng)
     if config.method == "sgd":
         state.velocity = [np.zeros_like(w) for w in model.weights]
     elif config.method == "adam":
@@ -197,11 +196,10 @@ def sgd_step(
     grads: list[np.ndarray],
     velocity: list[np.ndarray],
     lr: float,
-    momentum: float,
 ) -> None:
-    """Heavy-ball update in place: v <- momentum*v + g, p <- p - lr*v."""
+    """Heavy-ball update in place: v <- SGD_MOMENTUM*v + g, p <- p - lr*v."""
     for p, g, v in zip(params, grads, velocity):
-        v *= momentum
+        v *= SGD_MOMENTUM
         v += g
         p -= lr * v
 
@@ -213,19 +211,16 @@ def adam_step(
     m2: list[np.ndarray],
     t: int,
     lr: float,
-    beta1: float,
-    beta2: float,
-    eps: float,
 ) -> None:
     """Bias-corrected adaptive-moment update in place; t is the 1-based step."""
-    c1 = 1.0 - beta1 ** t
-    c2 = 1.0 - beta2 ** t
+    c1 = 1.0 - ADAM_BETA1 ** t
+    c2 = 1.0 - ADAM_BETA2 ** t
     for p, g, a, b in zip(params, grads, m1, m2):
-        a *= beta1
-        a += (1.0 - beta1) * g
-        b *= beta2
-        b += (1.0 - beta2) * g * g
-        p -= lr * (a / c1) / (np.sqrt(b / c2) + eps)
+        a *= ADAM_BETA1
+        a += (1.0 - ADAM_BETA1) * g
+        b *= ADAM_BETA2
+        b += (1.0 - ADAM_BETA2) * g * g
+        p -= lr * (a / c1) / (np.sqrt(b / c2) + ADAM_EPS)
 
 
 def _forward_loss(model: MLPModel, batch, state: TrainState):
@@ -320,7 +315,7 @@ def natural_step(
 
         def unit(i):
             result = factorize(stats, i + 1, config.svd_eps)
-            update_factors(state.layer_states[i], result, k, EMA_DECAY)
+            update_factors(state.layer_states[i], result, k)
             report = result.sigma(0), result.sigma(1), result.degenerate
             # only the sigmas leave, so the fresh pairs are freed before the
             # rebuild, while another lane's unit may be at its own peak
@@ -363,19 +358,9 @@ def first_order_step(
     acts, loss = _forward_loss(model, batch, state)
     grads, _ = backward(model, acts, batch[1])
     if config.method == "sgd":
-        sgd_step(model.weights, grads, state.velocity, config.lr, SGD_MOMENTUM)
+        sgd_step(model.weights, grads, state.velocity, config.lr)
     else:
-        adam_step(
-            model.weights,
-            grads,
-            state.m1,
-            state.m2,
-            state.iteration + 1,
-            config.lr,
-            ADAM_BETA1,
-            ADAM_BETA2,
-            ADAM_EPS,
-        )
+        adam_step(model.weights, grads, state.m1, state.m2, state.iteration + 1, config.lr)
     state.iteration += 1
     return StepMetrics(loss=loss)
 

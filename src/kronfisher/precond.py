@@ -1,8 +1,8 @@
 """From factor pairs to damped, invertible preconditioners.
 
-The per-layer lifecycle: factor pairs arrive every factor-refresh
-iteration and are folded into an exponential moving average; on the
-refreshes that rebuild (`optim`) the dominant pair is Tikhonov-damped
+The per-layer lifecycle: factor pairs arrive every factor-refresh iteration
+and are folded into a moving average capped at `EMA_DECAY` (KFAC's 0.95);
+on the refreshes that rebuild (`optim`) the dominant pair is Tikhonov-damped
 with the trace-balanced split and an inverse cache is rebuilt; every
 optimization step applies the cached inverse to the layer gradient.
 
@@ -58,6 +58,8 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+
+EMA_DECAY = 0.95
 
 
 # nothing instantiates it; benchmarks/harness.py imports the name
@@ -197,8 +199,8 @@ def kl_clip(
     return 1.0 if total <= clip else float(np.sqrt(clip / total))
 
 
-def update_factors(state: KronApprox, result: FactorResult, k: int, alpha: float) -> None:
-    """Fold freshly computed pairs into the averaged state.
+def update_factors(state: KronApprox, result: FactorResult, k: int) -> None:
+    """Fold fresh pairs into the averaged state: `ema_update` at cap `EMA_DECAY`.
 
     The first refresh fixes the number of pairs, one or two; a later
     refresh with a different number is refused.
@@ -212,7 +214,7 @@ def update_factors(state: KronApprox, result: FactorResult, k: int, alpha: float
         if n != len(state.pairs):
             raise ValueError(f"state holds {len(state.pairs)} pairs, refresh brought {n}")
         state.pairs = tuple(
-            ema_update(old, new, k, alpha) for old, new in zip(state.pairs, result.pairs)
+            ema_update(old, new, k, EMA_DECAY) for old, new in zip(state.pairs, result.pairs)
         )
 
 

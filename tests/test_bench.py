@@ -5,6 +5,7 @@ import json
 import math
 import re
 import struct
+import weakref
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 from pathlib import Path
@@ -268,7 +269,7 @@ class TestExperimentConfig:
             config_from_dict({"preset": "curves_desk", "leraning_rate": 0.1})
         with pytest.raises(ValueError, match="unknown optimizer keys"):
             config_from_dict({"preset": "curves_desk", "optimizer": {"lr": 0.1, "momentm": 0.9}})
-        # the EMA cap, SGD's momentum and Adam's moments are constants in `optim`
+        # the EMA cap, SGD's momentum and Adam's moments are constants, not settings
         for key in ("ema_decay", "momentum", "beta1", "beta2", "adam_eps"):
             with pytest.raises(ValueError, match="unknown optimizer keys"):
                 config_from_dict({"preset": "curves_desk", "optimizer": {key: 0.5}})
@@ -608,6 +609,26 @@ class TestRunExperiment:
         assert "sigma1_L1" in result.records[2].extra
         assert all(math.isfinite(r.nu) for r in result.records)
 
+    def test_no_step_result_outlives_its_iteration(self, tmp_path, monkeypatch):
+        """A natural step's result holds one direction per layer, together
+        the size of all the weights, so the next step must not run while
+        the previous result is still alive."""
+        from kronfisher import experiment
+
+        results = []
+        train_step = experiment.train_step
+
+        def step(*args):
+            assert all(ref() is None for ref in results)
+            out = train_step(*args)
+            results.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(experiment, "train_step", step)
+        optimizer = OptimizerConfig(method="kfac", lr=1e-2, batch_size=32, t1=1, t2=1)
+        run_experiment(desk_config(tmp_path, optimizer=optimizer), write_artifacts=False)
+        assert len(results) == 4
+
     def test_deflation_and_lanczos_trajectories_agree(self, tmp_path):
         """Both methods compute the best two-term Kronecker sum, so at the
         ACCEPTANCE 10 grid point (lr 0.3, damping 1e-3, clip 0.1) their
@@ -808,7 +829,7 @@ class TestCli:
             main(["train", "--config", str(path), "--lr", "0.1"])
         assert exc.value.code == 2
         assert capsys.readouterr().err.splitlines()[-1] == (
-            "kronfisher train: error: lr must be > 0"
+            "kronfisher train: error: lr must be > 0 and finite"
         )
         assert not (tmp_path / "run").exists()
 
@@ -985,12 +1006,19 @@ class TestCli:
         "command,flags,message",
         [
             ("train", ["--lr", "-1"], "lr must be > 0"),
+            ("train", ["--lr", "nan"], "lr must be > 0 and finite"),
+            ("train", ["--lr", "inf"], "lr must be > 0 and finite"),
+            ("train", ["--method", "kfac", "--clip", "nan"], "clip must be > 0 and finite"),
+            ("train", ["--method", "kfac", "--damping", "nan"], "damping must be > 0 and finite"),
+            ("train", ["--method", "kfac", "--damping", "inf"], "damping must be > 0 and finite"),
             ("train", ["--method", "nope"], "unknown method 'nope'"),
             ("gridsearch", ["--method", "nope"], "unknown method 'nope'"),
             ("train", [], "Expecting"),
             ("probe-fim", ["--config", "missing.json"], "No such file"),
         ],
-        ids=["train-lr", "train-method", "gridsearch-method", "malformed-json", "missing-file"],
+        ids=["train-lr", "train-lr-nan", "train-lr-inf", "train-clip-nan", "train-damping-nan",
+             "train-damping-inf", "train-method", "gridsearch-method", "malformed-json",
+             "missing-file"],
     )
     def test_config_errors_are_usage_errors(self, tmp_path, capsys, command, flags, message):
         """A config that cannot be read or is refused prints one error line
@@ -1034,15 +1062,30 @@ class TestCli:
         assert "best sgd" in capsys.readouterr().out
         assert (tmp_path / "grid" / "gridsearch_summary.json").exists()
 
+    def test_nan_in_the_config_file_is_a_usage_error(self, tmp_path, capsys):
+        """Python's json reads the bare token NaN as a float."""
+        path = self.write_config(tmp_path)
+        path.write_text(path.read_text().replace('"lr": 0.05', '"lr": NaN'))
+        assert math.isnan(json.loads(path.read_text())["optimizer"]["lr"])
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--config", str(path)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "kronfisher train: error: lr must be > 0 and finite"
+        )
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize(
         "method,flags,message",
         [
-            ("sgd", ["--eta", "0.01", "-1"], "lr must be > 0"),
+            ("sgd", ["--eta", "nan", "0.1"], "lr must be > 0 and finite"),
+            ("sgd", ["--eta", "0.01", "-1"], "lr must be > 0 and finite"),
             ("kfac", ["--damping-grid", "0.01", "0"],
-             "damping must be > 0 for second-order methods"),
-            ("kfac", ["--clip-grid", "0.01", "-1"], "clip must be > 0 for second-order methods"),
+             "damping must be > 0 and finite for second-order methods"),
+            ("kfac", ["--clip-grid", "0.01", "-1"],
+             "clip must be > 0 and finite for second-order methods"),
         ],
-        ids=["eta", "damping", "clip"],
+        ids=["eta-nan", "eta", "damping", "clip"],
     )
     def test_gridsearch_checks_every_point_before_training(
         self, tmp_path, monkeypatch, capsys, method, flags, message

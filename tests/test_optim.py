@@ -56,6 +56,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             OptimizerConfig(method="sgd", lr=0.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_lr_damping_and_clip_rejected(self, value):
+        for method in ("sgd", "kfac"):
+            with pytest.raises(ValueError, match="lr must be > 0 and finite"):
+                OptimizerConfig(method=method, lr=value)
+        for name in ("damping", "clip"):
+            with pytest.raises(ValueError, match=f"{name} must be > 0 and finite"):
+                OptimizerConfig(method="kfac", **{name: value})
+            # a first-order method reads neither
+            OptimizerConfig(method="sgd", **{name: value})
+
     def test_second_order_needs_positive_damping_and_clip(self):
         with pytest.raises(ValueError):
             OptimizerConfig(method="kfac", damping=0.0)
@@ -90,9 +101,9 @@ class TestFirstOrderSteps:
         p = [np.array([1.0])]
         v = [np.array([0.0])]
         g = [np.array([1.0])]
-        sgd_step(p, g, v, lr=0.1, momentum=0.9)
+        sgd_step(p, g, v, lr=0.1)
         assert p[0][0] == pytest.approx(0.9)
-        sgd_step(p, g, v, lr=0.1, momentum=0.9)
+        sgd_step(p, g, v, lr=0.1)
         assert p[0][0] == pytest.approx(1.0 - 0.1 - 0.1 * 1.9)
 
     def test_adam_first_step_is_signed_unit(self):
@@ -100,7 +111,7 @@ class TestFirstOrderSteps:
         g = [np.array([3.0, -0.25])]
         m1 = [np.zeros(2)]
         m2 = [np.zeros(2)]
-        adam_step(p, g, m1, m2, t=1, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8)
+        adam_step(p, g, m1, m2, t=1, lr=0.01)
         assert_allclose(p[0], [1.0 - 0.01, 1.0 + 0.01], rtol=1e-6)
 
     def test_adam_first_step_scale_invariance(self):
@@ -108,9 +119,7 @@ class TestFirstOrderSteps:
         for scale in (1.0, 100.0):
             p = [np.array([0.0])]
             m1, m2 = [np.zeros(1)], [np.zeros(1)]
-            adam_step(
-                p, [np.array([scale])], m1, m2, t=1, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8
-            )
+            adam_step(p, [np.array([scale])], m1, m2, t=1, lr=0.01)
             out.append(p[0][0])
         assert out[0] == pytest.approx(out[1], rel=1e-6)
 
@@ -126,7 +135,7 @@ class TestFirstOrderSteps:
         for t, batch in enumerate(batches, start=1):
             # model.weights equal `manual` here, so these are the gradients at `manual`
             grads, _ = backward(model, forward(model, batch[0]), batch[1])
-            adam_step(manual, grads, m1, m2, t=t, lr=1e-2, beta1=0.9, beta2=0.999, eps=1e-8)
+            adam_step(manual, grads, m1, m2, t=t, lr=1e-2)
             first_order_step(model, batch, state, config)
             for w, want in zip(model.weights, manual):
                 np.testing.assert_array_equal(w, want)

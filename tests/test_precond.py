@@ -16,8 +16,8 @@ from numpy.testing import assert_allclose
 from conftest import rand_spd, rand_sym
 from kronfisher.factorizations import FactorResult, KronPair
 from kronfisher.linalg import NotPositiveDefiniteError, kron, vec
-from kronfisher.optim import EMA_DECAY
 from kronfisher.precond import (
+    EMA_DECAY,
     InverseCache,
     KronApprox,
     apply_rank1_inverse,
@@ -370,7 +370,7 @@ class TestAveragedStateProperties:
         ks, results = seq
         state = KronApprox()
         for k, result in zip(ks, results):
-            update_factors(state, result, k, EMA_DECAY)
+            update_factors(state, result, k)
         rho = [min(1.0 - 1.0 / k, EMA_DECAY) for k in ks]
         weights = [(1.0 - rho[j]) * np.prod(rho[j + 1:]) for j in range(len(ks))]
         assert len(state.pairs) == len(results[0].pairs)
@@ -391,12 +391,12 @@ class TestAveragedStateProperties:
         ks, results = seq
         state = KronApprox()
         for k, result in zip(ks, results):
-            update_factors(state, result, k, EMA_DECAY)
+            update_factors(state, result, k)
         held = state.pairs
         n = len(held)
         other = make_result([results[-1].pairs[0]] * (3 - n))
         with pytest.raises(ValueError, match=f"state holds {n} pairs, refresh brought {3 - n}"):
-            update_factors(state, other, ks[-1] + 1, EMA_DECAY)
+            update_factors(state, other, ks[-1] + 1)
         assert state.pairs is held
 
 
@@ -404,40 +404,36 @@ class TestStateMachine:
     def test_first_update_copies_pairs(self):
         state = KronApprox()
         pair = KronPair(np.eye(2), np.eye(2))
-        update_factors(state, make_result([pair]), k=1, alpha=0.95)
+        update_factors(state, make_result([pair]), k=1)
         pair.left[0, 0] = 99.0
         assert state.pairs[0].left[0, 0] == 1.0
 
     def test_second_update_blends(self):
         state = KronApprox()
-        update_factors(
-            state, make_result([KronPair(np.zeros((2, 2)), np.zeros((2, 2)))]), 1, 0.95
-        )
-        update_factors(
-            state, make_result([KronPair(np.eye(2), np.eye(2))]), 2, 0.95
-        )
+        update_factors(state, make_result([KronPair(np.zeros((2, 2)), np.zeros((2, 2)))]), 1)
+        update_factors(state, make_result([KronPair(np.eye(2), np.eye(2))]), 2)
         assert_allclose(state.pairs[0].left, 0.5 * np.eye(2))
 
     def test_pair_count_mismatch_raises(self):
         """The first refresh fixes the pair count; a later one must match it."""
         two = [KronPair(np.eye(2), np.eye(2)), KronPair(np.eye(2), np.eye(2))]
         state = KronApprox()
-        update_factors(state, make_result(two), 1, 0.9)
+        update_factors(state, make_result(two), 1)
         with pytest.raises(ValueError, match="holds 2 pairs"):
-            update_factors(state, make_result(two[:1]), 2, 0.9)
+            update_factors(state, make_result(two[:1]), 2)
         state = KronApprox()
-        update_factors(state, make_result(two[:1]), 1, 0.9)
+        update_factors(state, make_result(two[:1]), 1)
         with pytest.raises(ValueError, match="holds 1 pairs"):
-            update_factors(state, make_result(two), 2, 0.9)
+            update_factors(state, make_result(two), 2)
         with pytest.raises(ValueError, match="one or two pairs"):
-            update_factors(KronApprox(), make_result(two + two[:1]), 1, 0.9)
+            update_factors(KronApprox(), make_result(two + two[:1]), 1)
 
     def test_kind_follows_pair_count(self):
         """kind is a read-only label of the pairs held, not a setting."""
         with pytest.raises(TypeError):
             KronApprox(kind="rank2")
         state = KronApprox()
-        update_factors(state, make_result([KronPair(np.eye(2), np.eye(2))] * 2), 1, 0.9)
+        update_factors(state, make_result([KronPair(np.eye(2), np.eye(2))] * 2), 1)
         assert state.kind == "rank2"
         with pytest.raises(AttributeError):
             state.kind = "rank1"
@@ -448,7 +444,7 @@ class TestStateMachine:
 
     def test_precondition_before_rebuild_raises(self):
         state = KronApprox()
-        update_factors(state, make_result([KronPair(np.eye(2), np.eye(2))]), 1, 0.95)
+        update_factors(state, make_result([KronPair(np.eye(2), np.eye(2))]), 1)
         with pytest.raises(ValueError):
             precondition_layer(state, np.zeros((2, 2)))
 
@@ -459,7 +455,7 @@ class TestStateMachine:
         a = rand_spd(rng, d)
         g = rand_spd(rng, dp)
         state = KronApprox()
-        update_factors(state, make_result([KronPair(a, g)]), 1, 0.95)
+        update_factors(state, make_result([KronPair(a, g)]), 1)
         rebuild_cache(state, damping=1e-2)
         assert state.cache.denom is None
         w = rng.standard_normal((dp, d))
@@ -478,7 +474,7 @@ class TestStateMachine:
         c = rand_sym(rng, 3, scale=0.2)
         d = rand_sym(rng, 2, scale=0.2)
         state = KronApprox()
-        update_factors(state, make_result([KronPair(a, g), KronPair(c, d)]), 1, 0.95)
+        update_factors(state, make_result([KronPair(a, g), KronPair(c, d)]), 1)
         rebuild_cache(state, damping=1e-2)
         # denom is dp x d; right is a view of k2, so right.T is k2 itself
         assert state.cache.denom.shape == (2, 3)
@@ -495,7 +491,7 @@ class TestStateMachine:
         a_d, g_d = damp_pair(a, g, 1e-3)
         state = KronApprox()
         update_factors(
-            state, make_result([KronPair(a, g), KronPair(rand_sym(rng, 3, 0.2), g)]), 1, 0.95
+            state, make_result([KronPair(a, g), KronPair(rand_sym(rng, 3, 0.2), g)]), 1
         )
         rebuild_cache(state, damping=1e-3)
         old_cache = state.cache
@@ -517,7 +513,7 @@ class TestStateMachine:
             KronPair(rand_sym(rng, 3, 0.2), rand_sym(rng, 2, 0.2)),
         ][:n_pairs]
         state = KronApprox()
-        update_factors(state, make_result(pairs), 1, 0.95)
+        update_factors(state, make_result(pairs), 1)
         rebuild_cache(state, damping=1e-3)
         old_cache = state.cache
         # the damping cannot lift an indefinite factor to positive definite,
@@ -547,7 +543,7 @@ class TestStateMachine:
         still names the whole factor's smallest eigenvalue."""
         g = rand_spd(np.random.default_rng(12), 4)
         state = KronApprox()
-        update_factors(state, make_result([KronPair(np.eye(785), g)]), 1, 0.95)
+        update_factors(state, make_result([KronPair(np.eye(785), g)]), 1)
         rebuild_cache(state, damping=1e-3)
         old_cache = state.cache
         assert old_cache.denom is None
@@ -574,9 +570,9 @@ class TestStateMachine:
         vals = np.linalg.eigvalsh(damp_pair(a, g, 1e-4)[0])
         assert 1e13 < vals[-1] / vals[0] < 1e14
         one, two = KronApprox(), KronApprox()
-        update_factors(one, make_result([KronPair(a, g)]), 1, 0.95)
+        update_factors(one, make_result([KronPair(a, g)]), 1)
         zero = KronPair(np.zeros((33, 33)), np.zeros((64, 64)))
-        update_factors(two, make_result([KronPair(a, g), zero]), 1, 0.95)
+        update_factors(two, make_result([KronPair(a, g), zero]), 1)
         rebuild_cache(one, damping=1e-4)
         rebuild_cache(two, damping=1e-4)
         w = rng.standard_normal((64, 33))
@@ -587,8 +583,8 @@ class TestStateMachine:
     def test_stale_cache_survives_factor_updates(self):
         rng = np.random.default_rng(10)
         state = KronApprox()
-        update_factors(state, make_result([KronPair(rand_spd(rng, 2), rand_spd(rng, 2))]), 1, 0.95)
+        update_factors(state, make_result([KronPair(rand_spd(rng, 2), rand_spd(rng, 2))]), 1)
         rebuild_cache(state, damping=1e-2)
         old_cache = state.cache
-        update_factors(state, make_result([KronPair(rand_spd(rng, 2), rand_spd(rng, 2))]), 2, 0.95)
+        update_factors(state, make_result([KronPair(rand_spd(rng, 2), rand_spd(rng, 2))]), 2)
         assert state.cache is old_cache
