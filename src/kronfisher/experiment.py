@@ -266,27 +266,19 @@ def build_dataset(config: ExperimentConfig, rng: np.random.Generator) -> tuple[n
         data = gen(n_train + n_val, int(rng.integers(2 ** 31)), side=config.side)
         return data[:n_train], data[n_train:]
     if config.val_path:
-        parts = [
-            (config.data_path, _idx_rows(config.data_path, n_train, "n_train")),
-            (config.val_path, _idx_rows(config.val_path, n_val, "n_val")),
-        ]
-    else:
-        data = _idx_rows(config.data_path, n_train + n_val, "n_train + n_val")
-        parts = [(config.data_path, data[:n_train]), (config.data_path, data[n_train:])]
-    for source, part in parts:
-        if part.shape[1] != width:
-            raise ValueError(
-                f"{source}: dataset width {part.shape[1]} != network input width {width}"
-            )
-    (_, train), (_, val) = parts
-    return train, val
+        train = _idx_rows(config.data_path, n_train, "n_train", width)
+        return train, _idx_rows(config.val_path, n_val, "n_val", width)
+    data = _idx_rows(config.data_path, n_train + n_val, "n_train + n_val", width)
+    return data[:n_train], data[n_train:]
 
 
-def _idx_rows(path: str, n: int, request: str) -> np.ndarray:
-    """The first n rows of an IDX image file; a shorter file is refused."""
+def _idx_rows(path: str, n: int, request: str, width: int) -> np.ndarray:
+    """The first n rows of an IDX image file; a shorter or other-width file is refused."""
     data = load_idx(path)
     if len(data) < n:
         raise ValueError(f"{path}: IDX file holds {len(data)} rows, {request} asks for {n}")
+    if data.shape[1] != width:
+        raise ValueError(f"{path}: dataset width {data.shape[1]} != network input width {width}")
     return data[:n]
 
 

@@ -23,7 +23,9 @@ two names for the same two-term solve; the best two-term sum is the
 top-two truncated SVD whichever way it is computed.
 
 The solve needs only the m x m Gram matrices K_a = (Abar Abar^T)**2 and
-K_g = (G G^T)**2 (entrywise squares).  For any square R with
+K_g = (G G^T)**2 (entrywise squares) of Abar and G scaled by powers of
+two to a largest |entry| in [1/2, 1): exact, so no fourth power
+overflows or underflows, and sigma is scaled back.  For any square R with
 R R^T = K_g, the top eigenpairs (sigma^2, w) of R^T M K_a M R give
 y = M R w / sigma and c = M K_a y / sigma, and the singular vectors fold
 to mat(u) = Abar^T diag(y) Abar and mat(v) = G^T diag(c) G.  The two
@@ -91,7 +93,15 @@ class KronPair:
     right: np.ndarray
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.left) * np.linalg.norm(self.right))
+        """||left|| ||right||, taken at unit scale so no square overflows or underflows."""
+        (left, e_l), (right, e_r) = _unit(self.left), _unit(self.right)
+        return float(np.ldexp(np.linalg.norm(left) * np.linalg.norm(right), e_l + e_r))
+
+
+def _unit(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """(x / 2^e, e) with max |x| / 2^e in [1/2, 1), exactly; e = 0 for an all-zero x."""
+    e = math.frexp(np.abs(x).max(initial=0.0))[1]
+    return np.ldexp(x, -e), e
 
 
 @dataclass
@@ -177,6 +187,8 @@ def _gram_triplets(
     ab, g = _layer_stats(stats, layer)
     m, d = ab.shape
     dp = g.shape[1]
+    # new arrays: the rows belong to forward and are never written
+    (ab, e_a), (g, e_g) = _unit(ab), _unit(g)
     ka = (ab @ ab.T) ** 2
     kg = (g @ g.T) ** 2
     factor_a = d > dp
@@ -195,6 +207,7 @@ def _gram_triplets(
         left = _fold(ab, y)
         if np.trace(left) < 0.0:
             left, c = -left, -c
+        sigma = float(np.ldexp(sigma, 2 * (e_a + e_g)))
         out.append(SingularTriplet(sigma, vec(left), vec(_fold(g, c))))
     return out
 

@@ -27,13 +27,10 @@ copy of m plus one scratch buffer of ceil(n/2)^2 entries.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 __all__ = [
     "NotPositiveDefiniteError",
-    "SymEig",
     "kron",
     "vec",
     "mat",
@@ -67,13 +64,6 @@ class NotPositiveDefiniteError(np.linalg.LinAlgError):
         if context:
             msg = f"{context}: {msg}"
         super().__init__(msg)
-
-
-class SymEig(NamedTuple):
-    """Eigendecomposition of a symmetric matrix, eigenvalues descending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -117,12 +107,12 @@ def zigzag(m: np.ndarray, d: int, dp: int) -> np.ndarray:
     return m.reshape(d, dp, d, dp).transpose(2, 0, 3, 1).reshape(d * d, dp * dp)
 
 
-def sym_eig(m: np.ndarray) -> SymEig:
-    """Eigendecomposition of a symmetric matrix with eigenvalues descending."""
+def sym_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, eigenvectors) of a symmetric matrix, eigenvalues descending."""
     m = np.asarray(m, dtype=np.float64)
     vals, vecs = np.linalg.eigh(m)
     order = np.argsort(vals)[::-1]
-    return SymEig(vals[order], vecs[:, order])
+    return vals[order], vecs[:, order]
 
 
 def psd_factor(m: np.ndarray) -> np.ndarray:

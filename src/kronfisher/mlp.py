@@ -5,8 +5,9 @@ per layer of shape (d_i, d_{i-1} + 1); column 0 multiplies the constant 1
 appended in front of the previous activation, so biases live in the first
 column.  Batches are row-major: ``x`` has one sample per row.
 
-Backpropagation records, per layer i, the per-sample augmented inputs
-``abar`` (m x (d_{i-1}+1)) and per-sample preactivation derivatives ``g``
+`forward` returns the per-sample augmented inputs ``abar`` (m x (d_{i-1}+1))
+of every layer, then the output; backpropagation pairs each abar, never
+copied or written, with the per-sample preactivation derivatives ``g``
 (m x d_i) of the per-sample loss.  The exact Fisher block of layer i is
 the second moment of ``vec(g abar^T)`` over the batch; `factorizations`
 works from the per-sample rows and never forms it, and the matrix-free
@@ -157,15 +158,16 @@ def _augment(a: np.ndarray) -> np.ndarray:
 
 
 def forward(model: MLPModel, x: np.ndarray) -> list[np.ndarray]:
-    """Run the network on a batch; returns activations [a0, a1, ..., aL]."""
+    """Run the network on a batch; returns [abar_0, ..., abar_{L-1}, a_L]:
+    each layer's augmented input [1, a] (column 0 all ones), then the output."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.layer_dims[0]:
         raise ValueError(f"batch shape {x.shape} does not match input width {model.layer_dims[0]}")
-    acts = [x]
+    acts = []
     for w, kind in zip(model.weights, model.activations):
-        s = _augment(acts[-1]) @ w.T
-        acts.append(_activate(kind, s))
-    return acts
+        acts.append(_augment(x))
+        x = _activate(kind, acts[-1] @ w.T)
+    return acts + [x]
 
 
 def batch_loss(output: np.ndarray, targets: np.ndarray, loss: str) -> float:
@@ -211,10 +213,10 @@ def backward(
 ) -> tuple[list[np.ndarray] | None, LayerBatchStats]:
     """Batch-averaged weight gradients plus the per-sample stats behind them.
 
-    ``activations`` is the list produced by `forward` for the same weights.
-    The returned gradients are of the mean loss; the stats keep per-sample
-    rows so Fisher blocks can be assembled from them afterwards.  With
-    ``grads=False`` no gradient is formed and None takes its place.
+    ``activations`` is the list produced by `forward` for the same weights;
+    the stats hold its abar arrays, not copies, and the per-sample g rows,
+    so Fisher blocks can be assembled afterwards.  The gradients are of the
+    mean loss; with ``grads=False`` none is formed and None takes its place.
     """
     y = np.asarray(targets, dtype=np.float64)
     out = activations[-1]
@@ -226,18 +228,15 @@ def backward(
         raise FloatingPointError("non-finite loss derivative at the output layer")
 
     weight_grads: list[np.ndarray] | None = [None] * model.n_layers if grads else None
-    abars: list[np.ndarray] = [None] * model.n_layers
     gs: list[np.ndarray] = [None] * model.n_layers
     for i in range(model.n_layers - 1, -1, -1):
-        ab = _augment(activations[i])
         if grads:
-            weight_grads[i] = g.T @ ab / m
-        abars[i] = ab
+            weight_grads[i] = g.T @ activations[i] / m
         gs[i] = g
         if i > 0:
             da = g @ model.weights[i][:, 1:]
-            g = da * _derivative_from_activation(model.activations[i - 1], activations[i])
-    return weight_grads, LayerBatchStats(abars, gs)
+            g = da * _derivative_from_activation(model.activations[i - 1], activations[i][:, 1:])
+    return weight_grads, LayerBatchStats(activations[:-1], gs)
 
 
 def _layer_stats(stats: LayerBatchStats, layer: int) -> tuple[np.ndarray, np.ndarray]:

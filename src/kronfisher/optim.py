@@ -37,8 +37,9 @@ setting.  Every layer runs, also after a failure, and the
 lowest-numbered failure is raised, so a failed step leaves the same
 layer states for every W.
 
-The true-target backward comes last so that its per-sample rows are
-never held at the same time as the sampled ones or a rebuild's
+Both backward passes of a refresh step read `forward`'s abar rows and
+differ only in their g rows.  The true-target one comes last, so its g
+rows are never held at once with the sampled ones or a rebuild's
 temporaries.  The first-order baselines share step 1, then backward
 with the true targets and take a heavy-ball (sgd) or bias-corrected
 Adam update whose 1-based step is k.  SGD's heavy-ball `SGD_MOMENTUM`
@@ -314,12 +315,9 @@ def natural_step(
         factorize = fz.FACTORIZERS[config.method]
 
         def unit(i):
-            result = factorize(stats, i + 1, config.svd_eps)
-            update_factors(state.layer_states[i], result, k)
-            report = result.sigma(0), result.sigma(1), result.degenerate
-            # only the sigmas leave, so the fresh pairs are freed before the
-            # rebuild, while another lane's unit may be at its own peak
-            del result
+            report = update_factors(
+                state.layer_states[i], factorize(stats, i + 1, config.svd_eps), k
+            )
             if rebuilt:
                 rebuild_cache(state.layer_states[i], config.damping)
             return report

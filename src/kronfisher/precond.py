@@ -199,11 +199,12 @@ def kl_clip(
     return 1.0 if total <= clip else float(np.sqrt(clip / total))
 
 
-def update_factors(state: KronApprox, result: FactorResult, k: int) -> None:
+def update_factors(state: KronApprox, result: FactorResult, k: int) -> tuple[float, float, bool]:
     """Fold fresh pairs into the averaged state: `ema_update` at cap `EMA_DECAY`.
 
     The first refresh fixes the number of pairs, one or two; a later
-    refresh with a different number is refused.
+    refresh with a different number is refused.  Returns the result's
+    (sigma_1, sigma_2, degenerate), so the caller need not keep it.
     """
     n = len(result.pairs)
     if state.pairs is None:
@@ -216,6 +217,7 @@ def update_factors(state: KronApprox, result: FactorResult, k: int) -> None:
         state.pairs = tuple(
             ema_update(old, new, k, EMA_DECAY) for old, new in zip(state.pairs, result.pairs)
         )
+    return result.sigma(0), result.sigma(1), result.degenerate
 
 
 def rebuild_cache(state: KronApprox, damping: float) -> None:

@@ -19,6 +19,7 @@ from conftest import make_model_stats, rand_spd, rand_sym, zigzag_oracle
 from kronfisher.factorizations import (
     DEFAULT_EPS,
     FACTORIZERS,
+    KronPair,
     deflation_factors,
     kfac_corrected_factors,
     kfac_factors,
@@ -315,6 +316,12 @@ class TestKfacCorrected:
         got = pair_residual(z, res.pairs)
         assert got == pytest.approx(want, rel=1e-7, abs=1e-10)
 
+    def test_reference_norm_neither_overflows_nor_underflows(self):
+        """The corrector's cutoff reads the moment product's norm, whose
+        factors' squared entries would leave the float range here."""
+        pair = KronPair(np.full((2, 2), 2.0 ** 600), np.full((3, 3), 2.0 ** -600))
+        assert pair.norm() == 6.0
+
 
 class TestGramSolveProperties:
     """The one exact solve against a dense SVD of zigzag(exact_fim_block)."""
@@ -359,6 +366,34 @@ class TestGramSolveProperties:
         else:
             assert abs(res.sigma(1) - s[0]) <= slack
             assert abs(got - want) <= slack
+
+    @PROPERTY_SETTINGS
+    @given(batches(), st.integers(-150, 150), st.integers(-150, 150))
+    def test_power_of_two_scaling_is_exact(self, stats, i, j):
+        """Abar rows scaled by 2^i and g rows by 2^j scale every row's
+        Kronecker products by exactly 2^(2i + 2j), far past where the
+        Gram matrices' fourth powers would overflow or underflow."""
+        scaled = LayerBatchStats([np.ldexp(stats.abar[0], i)], [np.ldexp(stats.g[0], j)])
+        for method, factorize in FACTORIZERS.items():
+            base, moved = factorize(stats, 1, DEFAULT_EPS), factorize(scaled, 1, DEFAULT_EPS)
+            assert moved.degenerate == base.degenerate, method
+            for p, q in zip(base.pairs, moved.pairs):
+                want = np.ldexp(kron(p.left, p.right), 2 * i + 2 * j)
+                assert np.array_equal(kron(q.left, q.right), want), method
+
+    @pytest.mark.parametrize("scale", [1e-100, 1e100])
+    def test_tiny_and_huge_deltas_keep_their_triplets(self, scale):
+        """g of 1e-100 once read sigma = 0 and a degenerate pair, and g of
+        1e100 failed the eigendecomposition; sigma scales by scale^2."""
+        rng = np.random.default_rng(27)
+        stats = one_layer_stats(rng.standard_normal((8, 3)), rng.standard_normal((8, 3)))
+        scaled = LayerBatchStats(stats.abar, [stats.g[0] * scale])
+        for method in ("kpsvd", "deflation", "kfac_corrected"):
+            base = FACTORIZERS[method](stats, 1, DEFAULT_EPS)
+            got = FACTORIZERS[method](scaled, 1, DEFAULT_EPS)
+            assert got.degenerate == base.degenerate, method
+            sigmas = [base.sigma(t) * scale ** 2 for t in (0, 1)]
+            assert_allclose([got.sigma(0), got.sigma(1)], sigmas, rtol=1e-9)
 
     @PROPERTY_SETTINGS
     @given(batches())

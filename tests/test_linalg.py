@@ -125,7 +125,7 @@ class TestSymEig:
     def test_spectrum_is_descending_eigenvalues(self):
         rng = np.random.default_rng(8)
         m = rand_sym(rng, 5)
-        assert_allclose(spectrum(m), sym_eig(m).eigenvalues, atol=1e-12)
+        assert_allclose(spectrum(m), sym_eig(m)[0], atol=1e-12)
 
 
 class TestInvSqrt:

@@ -17,11 +17,11 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import make_model_stats
-from kronfisher import optim
+from kronfisher import mlp, optim
 from kronfisher.experiment import ARCHITECTURES
-from kronfisher.factorizations import FACTORIZERS, KronPair
+from kronfisher.factorizations import DEFAULT_EPS, FACTORIZERS, KronPair
 from kronfisher.linalg import NotPositiveDefiniteError, kron, vec
-from kronfisher.mlp import backward, forward, init_mlp, sample_targets
+from kronfisher.mlp import backward, exact_fim_block, forward, init_mlp, sample_targets
 from kronfisher.optim import (
     SECOND_ORDER_METHODS,
     OptimizerConfig,
@@ -33,7 +33,13 @@ from kronfisher.optim import (
     sgd_step,
     train_step,
 )
-from kronfisher.precond import damp_pair, precondition_layer
+from kronfisher.precond import (
+    KronApprox,
+    damp_pair,
+    precondition_layer,
+    rebuild_cache,
+    update_factors,
+)
 
 
 def tiny_model(rng, loss="bce", dims=(4, 3, 2)):
@@ -340,6 +346,79 @@ class TestSampledBackward:
         calls.clear()
         fim_error_probe(model, rng.random((6, 4)), layer=1, rng=rng)
         assert calls == [False]
+
+    def test_each_step_augments_every_layer_input_once(self, monkeypatch):
+        """Plain and refresh steps alike build each layer's abar rows once,
+        in `forward`, and both statistics of a refresh hold those arrays."""
+        rng = np.random.default_rng(15)
+        model = tiny_model(rng, dims=(4, 3, 3, 2))
+        batches = [tiny_batch(rng, model) for _ in range(3)]
+        augmented, forwarded, seen = [], [], []
+        augment = mlp._augment
+
+        def counting(a):
+            augmented.append(a)
+            return augment(a)
+
+        def forwarding(model, x):
+            forwarded.append(forward(model, x))
+            return forwarded[-1]
+
+        def recording(model, acts, targets, **kwargs):
+            out = backward(model, acts, targets, **kwargs)
+            seen.append(out[1])
+            return out
+
+        monkeypatch.setattr(mlp, "_augment", counting)
+        monkeypatch.setattr(optim, "forward", forwarding)
+        monkeypatch.setattr(optim, "backward", recording)
+        config = OptimizerConfig(method="kfac", t1=3, t2=3)
+        state = init_train_state(model, config)
+        for refreshed, batch in zip((True, False, True), batches):
+            augmented.clear()
+            seen.clear()
+            assert natural_step(model, batch, state, config).refreshed is refreshed
+            assert len(augmented) == model.n_layers
+            assert len(seen) == (2 if refreshed else 1)
+            for stats in seen:
+                assert all(a is b for a, b in zip(stats.abar, forwarded[-1][:-1]))
+
+
+class TestSharedRows:
+    def test_readers_leave_the_rows_bit_identical(self, monkeypatch):
+        """The statistics alias `forward`'s rows for a whole step, so every
+        factorization, both apply orders, the dense block and the probe
+        must read them without writing."""
+        snapshots = []
+
+        def snapshot(stats):
+            rows = stats.abar + stats.g
+            snapshots.append((rows, [r.copy() for r in rows]))
+
+        def recording(*args, **kwargs):
+            out = backward(*args, **kwargs)
+            snapshot(out[1])
+            return out
+
+        rng = np.random.default_rng(16)
+        model = tiny_model(rng, dims=(40, 30, 40))
+        x = rng.random((8, 40))
+        acts = forward(model, x)
+        grads, stats = backward(model, acts, sample_targets(acts[-1], model.loss, rng))
+        snapshot(stats)
+        for i in range(model.n_layers):
+            exact_fim_block(stats, i + 1)
+            for factorize in FACTORIZERS.values():
+                ls = KronApprox()
+                update_factors(ls, factorize(stats, i + 1, DEFAULT_EPS), 1)
+                rebuild_cache(ls, 1e-2)
+                precondition_layer(ls, grads[i])
+                precondition_layer(ls, grads[i], (stats.abar[i], stats.g[i]))
+        monkeypatch.setattr(optim, "backward", recording)
+        fim_error_probe(model, x, layer=2, rng=rng)
+        assert len(snapshots) == 2
+        for rows, before in snapshots:
+            assert all(np.array_equal(a, b) for a, b in zip(rows, before))
 
 
 class TestFailureModes:

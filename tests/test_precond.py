@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import rand_spd, rand_sym
-from kronfisher.factorizations import FactorResult, KronPair
+from kronfisher.factorizations import FactorResult, KronPair, SingularTriplet
 from kronfisher.linalg import NotPositiveDefiniteError, kron, vec
 from kronfisher.precond import (
     EMA_DECAY,
@@ -407,6 +407,16 @@ class TestStateMachine:
         update_factors(state, make_result([pair]), k=1)
         pair.left[0, 0] = 99.0
         assert state.pairs[0].left[0, 0] == 1.0
+
+    def test_reports_the_results_sigmas_and_flag(self):
+        """The step keeps only this report, so nothing holds the result
+        once the call returns."""
+        pair = KronPair(np.eye(2), np.eye(2))
+        trips = tuple(SingularTriplet(s, np.zeros(4), np.zeros(4)) for s in (3.0, 0.0))
+        two = FactorResult((pair, pair), trips, degenerate=True)
+        assert update_factors(KronApprox(), two, 1) == (3.0, 0.0, True)
+        s1, s2, degenerate = update_factors(KronApprox(), make_result([pair]), 1)
+        assert np.isnan(s1) and np.isnan(s2) and degenerate is False
 
     def test_second_update_blends(self):
         state = KronApprox()
