@@ -92,9 +92,9 @@ class ProbeSpec:
 
     `ExperimentConfig` settles ``layer`` at load: None becomes the layer
     just past the midpoint of the network (bottleneck-adjacent in the
-    autoencoder presets), and a layer past the network's last, or one
-    whose dense Fisher block is larger than `mlp.MAX_DENSE_BLOCK`, is
-    refused.
+    autoencoder presets, the only layer of a one-layer network), and a
+    layer past the network's last, or one whose dense Fisher block is
+    larger than `mlp.MAX_DENSE_BLOCK`, is refused.
     """
 
     every: int = 1
@@ -166,9 +166,8 @@ class ExperimentConfig:
             )
         n_layers = len(self.layer_dims) - 1
         if self.probe is not None:
-            if self.probe.layer is None:
-                self.probe = replace(self.probe, layer=len(self.layer_dims) // 2 + 1)
-            layer = self.probe.layer
+            layer = self.probe.layer or min(len(self.layer_dims) // 2 + 1, n_layers)
+            self.probe = replace(self.probe, layer=layer)
             if layer > n_layers:
                 raise ValueError(f"probe layer {layer} out of range 1..{n_layers}")
             dim = (self.layer_dims[layer - 1] + 1) * self.layer_dims[layer]

@@ -38,8 +38,8 @@ O(m^2 (d + dp) + m^3 + m (d^2 + dp^2)), one m x m Cholesky and one
 m x m eigendecomposition (two when Cholesky refuses), with no
 iterations and no tolerance.  Sigma is resolved only down to
 about 1e-8 * sigma_1 (it is the square root of an eigenvalue), so a
-second pair below ``eps`` times the reference sigma is reported as
-degenerate and zeroed.
+second pair below ``eps`` times sigma_1, or the moment product's norm
+for kfac_corrected, is reported as degenerate and zeroed.
 
 `FACTORIZERS` is the one table from method name to factor function;
 `kfac`, the moment product, is its fifth row.
@@ -91,11 +91,6 @@ class KronPair:
 
     left: np.ndarray
     right: np.ndarray
-
-    def norm(self) -> float:
-        """||left|| ||right||, taken at unit scale so no square overflows or underflows."""
-        (left, e_l), (right, e_r) = _unit(self.left), _unit(self.right)
-        return float(np.ldexp(np.linalg.norm(left) * np.linalg.norm(right), e_l + e_r))
 
 
 def _unit(x: np.ndarray) -> tuple[np.ndarray, int]:
@@ -174,7 +169,7 @@ def _apply_m(x: np.ndarray, centred: bool) -> np.ndarray:
 
 def _gram_triplets(
     stats: LayerBatchStats, layer: int, terms: int, centred: bool = False
-) -> list[SingularTriplet]:
+) -> tuple[list[SingularTriplet], float]:
     """Top singular triplets of Z = P M Q^T, exactly, from m x m Gram matrices.
 
     M is I/m, or (I - 11^T/m)/m when centred.  The wider side's Gram
@@ -182,7 +177,8 @@ def _gram_triplets(
     b = M r and the top eigenpairs (sigma^2, w) of b^T K_other b,
     ``first = b w / sigma`` weighs the other side's rows and
     ``second = M K_other first / sigma`` the factored side's.  Missing or
-    zero singular values come back as zero triplets.
+    zero singular values come back as zero triplets.  The moment product's
+    norm comes back too: sqrt(sum(K_a) sum(K_g)) / m^2, as ||Abar^T Abar||^2 = sum(K_a).
     """
     ab, g = _layer_stats(stats, layer)
     m, d = ab.shape
@@ -191,6 +187,7 @@ def _gram_triplets(
     (ab, e_a), (g, e_g) = _unit(ab), _unit(g)
     ka = (ab @ ab.T) ** 2
     kg = (g @ g.T) ** 2
+    moment_norm = float(np.ldexp(np.sqrt(ka.sum() * kg.sum()) / m ** 2, 2 * (e_a + e_g)))
     factor_a = d > dp
     k_root, k_other = (ka, kg) if factor_a else (kg, ka)
     b = _apply_m(psd_factor(k_root), centred)
@@ -209,7 +206,7 @@ def _gram_triplets(
             left, c = -left, -c
         sigma = float(np.ldexp(sigma, 2 * (e_a + e_g)))
         out.append(SingularTriplet(sigma, vec(left), vec(_fold(g, c))))
-    return out
+    return out, moment_norm
 
 
 def _pair(trip: SingularTriplet) -> KronPair:
@@ -229,7 +226,7 @@ def _with_second(
 
 def kpsvd_factors(stats: LayerBatchStats, layer: int) -> FactorResult:
     """Frobenius-nearest single Kronecker product of one layer's Fisher block."""
-    (t1,) = _gram_triplets(stats, layer, 1)
+    (t1,), _ = _gram_triplets(stats, layer, 1)
     return FactorResult(pairs=(_pair(t1),), triplets=(t1,))
 
 
@@ -240,7 +237,7 @@ def deflation_factors(
 
     The second pair is degenerate, and zeroed, when sigma_2 <= eps * sigma_1.
     """
-    t1, t2 = _gram_triplets(stats, layer, 2)
+    (t1, t2), _ = _gram_triplets(stats, layer, 2)
     return _with_second(_pair(t1), t1, t2, t1.sigma, eps)
 
 
@@ -254,11 +251,11 @@ def kfac_corrected_factors(
     """Moment-product factors plus the nearest Kronecker product of what they miss.
 
     The corrector is degenerate, and zeroed, when its sigma is at most eps
-    times the Frobenius norm of the moment product.
+    times the moment product's Frobenius norm, read off the solve's Gram matrices.
     """
     pair1 = kfac_factors(stats, layer)
-    (t2,) = _gram_triplets(stats, layer, 1, centred=True)
-    return _with_second(pair1, None, t2, pair1.norm(), eps)
+    (t2,), moment_norm = _gram_triplets(stats, layer, 1, centred=True)
+    return _with_second(pair1, None, t2, moment_norm, eps)
 
 
 # method name -> (stats, layer, eps) -> FactorResult.  Each row resolves its

@@ -139,6 +139,8 @@ class OptimizerConfig:
                 raise ValueError("damping must be > 0 and finite for second-order methods")
             if not 0.0 < self.clip < np.inf:
                 raise ValueError("clip must be > 0 and finite for second-order methods")
+            if not 0.0 <= self.svd_eps < np.inf:
+                raise ValueError("svd_eps must be >= 0 and finite for second-order methods")
             if self.t1 < 1 or self.t2 < 1:
                 raise ValueError("refresh periods must be >= 1")
 

@@ -252,6 +252,13 @@ class TestExperimentConfig:
         path.write_text(json.dumps({"preset": "curves_desk", "probe": {}}))
         assert load_config(path).probe.layer == 4
 
+    def test_one_layer_net_probes_its_only_layer(self):
+        """The layer past the midpoint of [16, 16] would be layer 2, which
+        the net does not have."""
+        raw = {"preset": "", "layer_dims": [16, 16], "activations": ["sigmoid"], "loss": "bce",
+               "probe": {}}
+        assert config_from_dict(raw).probe.layer == 1
+
     @pytest.mark.parametrize(
         "preset,probe,dim",
         [("faces", ProbeSpec(), 15500), ("mnist", ProbeSpec(), 7750),
@@ -987,6 +994,36 @@ class TestCli:
         payload = json.loads(out[: out.rindex("}") + 1])
         assert any(k.startswith("err_frob_") for k in payload)
         assert "iteration" in payload
+
+    def test_probe_subcommand_defaults_to_a_one_layer_nets_only_layer(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "preset": "", "layer_dims": [16, 16], "activations": ["sigmoid"], "loss": "bce",
+            "epochs": 1, "n_train": 8, "n_val": 0, "out_dir": str(tmp_path / "probe_run"),
+            "optimizer": {"method": "sgd", "batch_size": 8},
+        }))
+        assert main(["probe-fim", "--config", str(path)]) == 0
+        out = capsys.readouterr().out
+        payload = json.loads(out[: out.rindex("}") + 1])
+        assert any(k.startswith("err_frob_") for k in payload)
+        echo = json.loads((tmp_path / "probe_run" / "config_echo.json").read_text())
+        assert echo["probe"]["layer"] == 1
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_bad_svd_eps_in_the_file_is_a_usage_error(self, tmp_path, capsys, value):
+        """NaN or a negative cutoff keeps every second pair, and an infinite
+        one zeroes them all, silently training a one-term method."""
+        path = self.write_config(tmp_path)
+        raw = json.loads(path.read_text())
+        raw["optimizer"].update(method="deflation", svd_eps=value)
+        path.write_text(json.dumps(raw))
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--config", str(path)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "kronfisher train: error: svd_eps must be >= 0 and finite for second-order methods"
+        )
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("flag,value", [("--every", "0"), ("--layer", "7")])
     def test_probe_subcommand_refuses_bad_probe_before_training(

@@ -19,7 +19,6 @@ from conftest import make_model_stats, rand_spd, rand_sym, zigzag_oracle
 from kronfisher.factorizations import (
     DEFAULT_EPS,
     FACTORIZERS,
-    KronPair,
     deflation_factors,
     kfac_corrected_factors,
     kfac_factors,
@@ -316,11 +315,38 @@ class TestKfacCorrected:
         got = pair_residual(z, res.pairs)
         assert got == pytest.approx(want, rel=1e-7, abs=1e-10)
 
-    def test_reference_norm_neither_overflows_nor_underflows(self):
-        """The corrector's cutoff reads the moment product's norm, whose
-        factors' squared entries would leave the float range here."""
-        pair = KronPair(np.full((2, 2), 2.0 ** 600), np.full((3, 3), 2.0 ** -600))
-        assert pair.norm() == 6.0
+    @staticmethod
+    def cutoff_ratio(stats):
+        """sigma / (||A|| ||G||): the svd_eps at which the corrector flips."""
+        base = kfac_factors(stats, 1)
+        sigma = kfac_corrected_factors(stats, 1).sigma(1)
+        return sigma / (np.linalg.norm(base.left) * np.linalg.norm(base.right))
+
+    def test_cutoff_flips_at_the_moment_products_norm(self):
+        rng = np.random.default_rng(28)
+        stats = one_layer_stats(rng.standard_normal((8, 3)), rng.standard_normal((8, 2)))
+        ratio = self.cutoff_ratio(stats)
+        assert ratio > 0.0
+        assert not kfac_corrected_factors(stats, 1, ratio * (1 - 1e-9)).degenerate
+        assert kfac_corrected_factors(stats, 1, ratio * (1 + 1e-9)).degenerate
+
+    @pytest.mark.parametrize(
+        "i,j", [(300, 0), (-300, 0), (0, 400), (0, -400), (400, -400), (-500, 500)]
+    )
+    def test_cutoff_reference_neither_overflows_nor_underflows(self, i, j):
+        """Abar rows scaled by 2^i and g rows by 2^j: the moment factors'
+        squared entries leave the float range, yet sigma scales by exactly
+        2^(2i + 2j) and the cutoff flips where it did unscaled."""
+        rng = np.random.default_rng(29)
+        stats = one_layer_stats(rng.standard_normal((8, 3)), rng.standard_normal((8, 2)))
+        scaled = LayerBatchStats([np.ldexp(stats.abar[0], i)], [np.ldexp(stats.g[0], j)])
+        ratio = self.cutoff_ratio(stats)
+        for eps in (DEFAULT_EPS, ratio * (1 - 1e-9), ratio * (1 + 1e-9)):
+            base = kfac_corrected_factors(stats, 1, eps)
+            moved = kfac_corrected_factors(scaled, 1, eps)
+            assert moved.degenerate == base.degenerate, eps
+        base, moved = kfac_corrected_factors(stats, 1), kfac_corrected_factors(scaled, 1)
+        assert moved.sigma(1) == np.ldexp(base.sigma(1), 2 * i + 2 * j)
 
 
 class TestGramSolveProperties:
@@ -361,7 +387,8 @@ class TestGramSolveProperties:
         got = pair_residual(z, res.pairs)
         want = best_rank_k_residual(rz, 1)
         if res.degenerate:
-            assert s[0] <= DEFAULT_EPS * base.norm() + slack
+            reference = np.linalg.norm(base.left) * np.linalg.norm(base.right)
+            assert s[0] <= DEFAULT_EPS * reference + slack
             assert want - slack <= got <= np.hypot(want, s[0]) + slack
         else:
             assert abs(res.sigma(1) - s[0]) <= slack

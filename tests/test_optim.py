@@ -73,6 +73,16 @@ class TestConfig:
             # a first-order method reads neither
             OptimizerConfig(method="sgd", **{name: value})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_svd_eps_must_be_finite_and_non_negative(self, value):
+        """NaN or a negative cutoff would keep every second pair, and an
+        infinite one would zero them all."""
+        for method in SECOND_ORDER_METHODS:
+            with pytest.raises(ValueError, match="svd_eps must be >= 0 and finite"):
+                OptimizerConfig(method=method, svd_eps=value)
+            OptimizerConfig(method=method, svd_eps=0.0)
+        OptimizerConfig(method="sgd", svd_eps=value)
+
     def test_second_order_needs_positive_damping_and_clip(self):
         with pytest.raises(ValueError):
             OptimizerConfig(method="kfac", damping=0.0)
@@ -324,6 +334,33 @@ class TestNaturalStepDirection:
         m = natural_step(model, batch, state, config)
         for w0, w1, p in zip(before, model.weights, m.precond):
             assert_allclose(w1, w0 - config.lr * m.nu * p, atol=1e-14)
+
+
+class TestDegenerateSteps:
+    @pytest.mark.parametrize(
+        "method,one_term",
+        [("deflation", "kpsvd"), ("lanczos", "kpsvd"), ("kfac_corrected", "kfac")],
+    )
+    def test_batch_of_one_zeroes_every_second_pair(self, method, one_term):
+        """At batch size 1 every layer's rearranged block has rank one, so
+        the two-term method's second pair is degenerate on every layer and
+        its steps track the one-term method's."""
+        rng = np.random.default_rng(9)
+        two = tiny_model(rng, dims=(16, 8, 4, 8, 16))
+        one = copy.deepcopy(two)
+        batches = [tiny_batch(rng, two, m=1) for _ in range(4)]
+        configs = [OptimizerConfig(method=name, lr=0.1, t1=1, t2=1, batch_size=1)
+                   for name in (method, one_term)]
+        states = [init_train_state(model, c) for model, c in zip((two, one), configs)]
+        for batch in batches:
+            metrics = natural_step(two, batch, states[0], configs[0])
+            natural_step(one, batch, states[1], configs[1])
+            assert metrics.degenerate == [True] * 4
+            for ls in states[0].layer_states:
+                assert not ls.pairs[1].left.any() and not ls.pairs[1].right.any()
+                assert np.all(ls.cache.denom == 1.0)
+            for w2, w1 in zip(two.weights, one.weights):
+                assert np.linalg.norm(w2 - w1) <= 1e-12 * np.linalg.norm(w1)
 
 
 class TestSampledBackward:
