@@ -30,10 +30,12 @@ R R^T = K_g, the top eigenpairs (sigma^2, w) of R^T M K_a M R give
 y = M R w / sigma and c = M K_a y / sigma, and the singular vectors fold
 to mat(u) = Abar^T diag(y) Abar and mat(v) = G^T diag(c) G.  The two
 sides may trade places, so R factors the wider side's Gram matrix: a
-width-w Gram matrix has rank up to w(w+1)/2, so that side is positive
-definite most often, and then R is its Cholesky factor
+width-w Gram matrix has rank up to w(w+1)/2, so that side is the one
+more often positive definite, and then R is its Cholesky factor
 (`linalg.psd_factor`); a singular one falls back to its eigenvalue
-square root.  Neither the Fisher block nor Z is ever formed; the cost is
+square root, as in 8.3% of the solves of the benchmark's workloads
+(319 of 3,840 on `desk_twoterm`, 3 of 36 on `curves_refresh`).
+Neither the Fisher block nor Z is ever formed; the cost is
 O(m^2 (d + dp) + m^3 + m (d^2 + dp^2)), one m x m Cholesky and one
 m x m eigendecomposition (two when Cholesky refuses), with no
 iterations and no tolerance.  Sigma is resolved only down to

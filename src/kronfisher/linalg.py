@@ -111,8 +111,7 @@ def sym_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(eigenvalues, eigenvectors) of a symmetric matrix, eigenvalues descending."""
     m = np.asarray(m, dtype=np.float64)
     vals, vecs = np.linalg.eigh(m)
-    order = np.argsort(vals)[::-1]
-    return vals[order], vecs[:, order]
+    return vals[::-1], vecs[:, ::-1]
 
 
 def psd_factor(m: np.ndarray) -> np.ndarray:

@@ -26,11 +26,11 @@ OMP_NUM_THREADS), capped at the layer count; it is 1 when neither is
 set, since BLAS then takes every core.  A step costs each layer's unit
 m (d^2 + dp^2) + d^3 + dp^3 multiply-adds, whatever the method, and both
 sections use that one list.  A section whose layers average at least
-`_PARALLEL_FLOOR` per lane runs on W lanes: the calling thread and W - 1
-pool threads each take the costliest layer left from one shared queue
-until it is empty, so the lanes balance by when their layers finish,
-not by the estimate.  Any other section runs on the calling thread in
-ascending layer order.  Each layer's unit runs whole on one thread and
+`_PARALLEL_FLOOR` per lane runs on W lanes, any other on one: the
+calling thread and W - 1 pool threads each take the costliest layer left
+from one shared queue until it is empty, so the lanes balance by when
+their layers finish, not by the estimate, and one lane takes the layers
+in the same order.  Each layer's unit runs whole on one thread and
 makes the same BLAS calls in the same order on any lane, so weights and
 every `StepMetrics` field are bit-identical for every W at a fixed BLAS
 setting.  Every layer runs, also after a failure, and the
@@ -256,18 +256,15 @@ def _lanes() -> int:
 def _per_layer(costs: list[int], unit: Callable[[int], object]) -> list:
     """Run `unit` on every layer index; its results, in layer order.
 
-    On more than one lane, with `costs` averaging at least
-    `_PARALLEL_FLOOR` per lane, the calling thread and the pool pop the
-    costliest layer left from one queue until it is empty; otherwise the
-    calling thread runs the layers in ascending order.  Every layer runs
-    and the lowest-numbered failure is raised.
+    The calling thread, and the pool when `costs` average at least
+    `_PARALLEL_FLOOR` per lane on more than one lane, pop the costliest
+    layer left from one queue until it is empty.  Every layer runs and
+    the lowest-numbered failure is raised.
     """
     lanes = min(_lanes(), len(costs))
-    if lanes > 1 and sum(costs) >= lanes * _PARALLEL_FLOOR:
-        queue = sorted(range(len(costs)), key=costs.__getitem__)
-    else:
+    if sum(costs) < lanes * _PARALLEL_FLOOR:
         lanes = 1
-        queue = list(reversed(range(len(costs))))
+    queue = sorted(range(len(costs)), key=costs.__getitem__)
     global _pool
     if _pool is None and lanes > 1:
         _pool = ThreadPoolExecutor(_lanes() - 1, thread_name_prefix="kronfisher-layer")

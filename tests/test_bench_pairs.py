@@ -147,3 +147,44 @@ def test_each_pair_runs_every_workload_in_both_trees(tmp_path, monkeypatch, caps
         rows = {row.split()[0]: row.split() for row in tables[workload].splitlines()[1:]}
         assert rows["step_s_p50"][1:3] == medians
         assert rows["step_s_p50"][5] == "2/2"
+
+
+def test_the_record_holds_every_row_of_every_workload(tmp_path, monkeypatch, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    write_spec(parent)
+    steps = iter([1.0, 0.5, 3.0, 2.0, 1.5, 2.0])
+
+    def run_once(tree, workload):
+        return line(next(steps), 10.0, correct=workload == "desk_twoterm" or tree == parent)
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    record = tmp_path / "PAIRS_1.json"
+    argv = [str(parent), str(change), "desk_twoterm", "3", "--record", str(record)]
+    assert bench_pairs.main(argv) == 0
+    got = json.loads(record.read_text())
+    assert (got["parent"], got["change"], got["pairs"]) == (str(parent), str(change), 3)
+    assert got["all_runs_ok"] is True
+    assert list(got["workloads"]) == ["desk_twoterm"]
+    rows = got["workloads"]["desk_twoterm"]
+    assert list(rows) == [spec["name"] for spec in SPEC]
+    # parent 1.0, 2.0, 1.5 (even pairs run the parent first) against 0.5, 3.0, 2.0
+    assert rows["step_s_p50"] == {
+        "unit": "s",
+        "pairs": 3,
+        "parent_median": 1.5,
+        "change_median": 2.0,
+        "parent_iqr": [1.25, 1.75],
+        "change_wins": 1,
+        "unresolved": True,
+    }
+    assert rows["iters_per_s"]["change_wins"] == 0
+    assert not rows["iters_per_s"]["unresolved"]
+    capsys.readouterr()
+
+    # an incorrect run drops its pair from the rows and clears the flag
+    steps = iter([1.0, 0.5, 3.0, 2.0])
+    argv = [str(parent), str(change), "curves_steps", "2", "--record", str(record)]
+    assert bench_pairs.main(argv) == 1
+    got = json.loads(record.read_text())
+    assert got["all_runs_ok"] is False
+    assert got["workloads"]["curves_steps"]["step_s_p50"]["pairs"] == 0

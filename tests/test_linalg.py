@@ -122,6 +122,24 @@ class TestSymEig:
         assert_allclose((vecs * vals) @ vecs.T, m, atol=1e-10)
         assert_allclose(vecs.T @ vecs, np.eye(6), atol=1e-10)
 
+    @pytest.mark.parametrize("case", ["zero", "equal_blocks"])
+    def test_repeated_eigenvalues_keep_order_and_reconstruction(self, case):
+        """Ties, every eigenvalue at once for the zero matrix and each one
+        twice for two equal diagonal blocks, come out descending, and the
+        vectors still rebuild the matrix."""
+        if case == "zero":
+            m = np.zeros((5, 5))
+            expected = np.zeros(5)
+        else:
+            b = rand_sym(np.random.default_rng(10), 3)
+            m = np.block([[b, np.zeros((3, 3))], [np.zeros((3, 3)), b]])
+            expected = np.repeat(np.linalg.eigvalsh(b)[::-1], 2)
+        vals, vecs = sym_eig(m)
+        assert np.all(np.diff(vals) <= 0)
+        assert_allclose(vals, expected, atol=1e-12)
+        assert_allclose((vecs * vals) @ vecs.T, m, atol=1e-10)
+        assert_allclose(vecs.T @ vecs, np.eye(len(m)), atol=1e-10)
+
     def test_spectrum_is_descending_eigenvalues(self):
         rng = np.random.default_rng(8)
         m = rand_sym(rng, 5)

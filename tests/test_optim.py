@@ -698,7 +698,8 @@ class TestLayerParallel:
                 optim._pool.shutdown(wait=True, cancel_futures=True)
 
     def test_one_lane_runs_whole_units(self, monkeypatch):
-        """One lane factors and rebuilds each layer before the next, as the lanes do."""
+        """One lane factors and rebuilds each layer before the next, taking
+        the costliest layer left first, as the lanes do."""
         monkeypatch.setattr(optim, "_lanes", lambda: 1)
         rng = np.random.default_rng(23)
         model = tiny_model(rng, dims=DESK_DIMS)
@@ -719,8 +720,11 @@ class TestLayerParallel:
         monkeypatch.setattr(optim, "rebuild_cache", rebuild)
         for _ in range(2):
             natural_step(model, batch, state, config)
-        unit = [(phase, layer) for layer in range(1, len(DESK_DIMS))
-                for phase in ("factorize", "rebuild")]
+        costs = [64 * (d * d + dp * dp) + d ** 3 + dp ** 3 for dp, d in
+                 (w.shape for w in model.weights)]
+        order = [i + 1 for i in sorted(range(len(costs)), key=costs.__getitem__)[::-1]]
+        assert order == [1, 6, 2, 5, 3, 4]
+        unit = [(phase, layer) for layer in order for phase in ("factorize", "rebuild")]
         assert calls == unit * 2
 
     @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Alternating benchmark pairs of two trees: a parent and a change.
 
-    python3 tools/bench_pairs.py PARENT_TREE CHANGE_TREE WORKLOAD [WORKLOAD ...] PAIRS
+    python3 tools/bench_pairs.py PARENT_TREE CHANGE_TREE WORKLOAD [WORKLOAD ...] PAIRS \
+        [--record PAIRS_<n>.json]
 
 Each WORKLOAD must be named in the ``workloads`` list of the parent
 tree's BENCHMARK.json; any other name, ``all`` included, is a usage
@@ -12,9 +13,11 @@ output.  For each workload and every end-to-end metric of that
 BENCHMARK.json it then prints the parent and change medians, the
 parent's interquartile range, the number of pairs the change won (ties
 count for neither side) and ``unresolved`` where that range, relative
-to the parent's median, exceeds the metric's bound.  The exit code is 1
-when any run was incorrect, failed an operation or printed no result.
-Only the standard library is used, and nothing is written.
+to the parent's median, exceeds the metric's bound.  ``--record FILE``
+also writes those rows as JSON, keyed by workload and metric, with the
+trees as given, the pairs asked for and whether every run was correct.
+The exit code is 1 when any run was incorrect, failed an operation or
+printed no result.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -104,6 +107,7 @@ def main(argv=None) -> int:
     parser.add_argument("workloads", nargs="+", metavar="workload",
                         help="workload names of the parent tree's BENCHMARK.json")
     parser.add_argument("pairs", type=int, help="number of pairs to run")
+    parser.add_argument("--record", type=Path, help="write the summary rows to this JSON file")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error(f"pairs must be >= 1, got {args.pairs}")
@@ -131,9 +135,18 @@ def main(argv=None) -> int:
                 pairs[workload].append((lines["parent"], lines["change"]))
             else:
                 all_ok = False
-    for workload, got in pairs.items():
+    rows = {workload: summarize(spec["end_to_end"], got) for workload, got in pairs.items()}
+    for workload, summary in rows.items():
         print(f"== {workload}")
-        print(format_rows(summarize(spec["end_to_end"], got)))
+        print(format_rows(summary))
+    if args.record:
+        args.record.write_text(json.dumps({
+            "parent": str(args.parent),
+            "change": str(args.change),
+            "pairs": args.pairs,
+            "all_runs_ok": all_ok,
+            "workloads": {w: {r.pop("name"): r for r in summary} for w, summary in rows.items()},
+        }, indent=2) + "\n")
     return 0 if all_ok else 1
 
 
