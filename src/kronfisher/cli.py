@@ -5,10 +5,10 @@ flag then replaces one value with `dataclasses.replace`, which checks the
 edited config again.
 
 Numpy, and with it BLAS, loads only when a command runs, and BLAS reads its
-thread count then; cap it with OPENBLAS_NUM_THREADS (or OMP_NUM_THREADS)
-in the shell that launches the command.  A cap also frees the other cores
-for a natural step's layers (see `optim`), and at a fixed setting
-metrics.csv is byte-identical however many layers run at once.
+thread count then; cap it with OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
+OMP_NUM_THREADS, read in that order, in the launching shell.  A cap also
+frees the other cores for a natural step's layers (see `optim`), and at a
+fixed setting metrics.csv is byte-identical however many layers run at once.
 """
 
 from __future__ import annotations

@@ -22,20 +22,20 @@ The natural step at iteration k (1-based):
 
 The per-layer work of steps 3 and 4 runs on W lanes.  W is the usable
 cores over the BLAS threads per call (OPENBLAS_NUM_THREADS, then
-OMP_NUM_THREADS), capped at the layer count; it is 1 when neither is
-set, since BLAS then takes every core.  A step costs each layer's unit
-m (d^2 + dp^2) + d^3 + dp^3 multiply-adds, whatever the method, and both
-sections use that one list.  A section whose layers average at least
-`_PARALLEL_FLOOR` per lane runs on W lanes, any other on one: the
-calling thread and W - 1 pool threads each take the costliest layer left
-from one shared queue until it is empty, so the lanes balance by when
-their layers finish, not by the estimate, and one lane takes the layers
-in the same order.  Each layer's unit runs whole on one thread and
-makes the same BLAS calls in the same order on any lane, so weights and
-every `StepMetrics` field are bit-identical for every W at a fixed BLAS
-setting.  Every layer runs, also after a failure, and the
-lowest-numbered failure is raised, so a failed step leaves the same
-layer states for every W.
+GOTO_NUM_THREADS, then OMP_NUM_THREADS), capped at the layer count; it
+is 1 when none is set, since BLAS then takes every core.  A step costs
+each layer's unit m (d^2 + dp^2) + d^3 + dp^3 multiply-adds, whatever
+the method, and both sections use that one list.  A section whose
+layers average at least `_PARALLEL_FLOOR` per lane runs on W lanes, any
+other on one: the calling thread and W - 1 pool threads each take the
+costliest layer left from one shared queue until it is empty, so the
+lanes balance by when their layers finish, not by the estimate, and one
+lane takes the layers in the same order.  Each layer's unit runs whole
+on one thread and makes the same BLAS calls in the same order on any
+lane, so weights and every `StepMetrics` field are bit-identical for
+every W at a fixed BLAS setting.  Every layer runs, also after a
+failure, and the lowest-numbered failure is raised, so a failed step
+leaves the same layer states for every W.
 
 Both backward passes of a refresh step read `forward`'s abar rows and
 differ only in their g rows.  The true-target one comes last, so its g
@@ -242,10 +242,10 @@ def _forward_loss(model: MLPModel, batch, state: TrainState):
 def _lanes() -> int:
     """How many layers can run at once: usable cores over BLAS threads per call.
 
-    BLAS reads OPENBLAS_NUM_THREADS, then OMP_NUM_THREADS, as numpy loads
-    and takes every core when neither is set, which leaves one lane.
+    BLAS reads OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS, then OMP_NUM_THREADS
+    as numpy loads, and takes every core when none is set: one lane.
     """
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
         value = os.environ.get(var, "")
         if value.isdigit() and int(value) > 0:
             cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1

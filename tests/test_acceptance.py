@@ -8,7 +8,6 @@ oracle (dense SVD, finite differences, explicit worked examples).
 
 import contextlib
 import copy
-import json
 import math
 import time
 
@@ -16,6 +15,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import seeds
 from conftest import (
     ACCEPTANCE_LINES,
     make_model_stats,
@@ -27,7 +27,6 @@ from kronfisher.experiment import (
     ETA_GRID,
     ExperimentConfig,
     ProbeSpec,
-    grid_search,
     run_experiment,
 )
 from kronfisher.factorizations import (
@@ -311,77 +310,26 @@ class TestAcceptance:
     def test_10_speed_gate(self, tmp_path):
         notes = {}
         with criterion(10, 900.0, notes):
-            base = dict(
-                preset="curves_desk",
-                n_train=256,
-                n_val=64,
-                side=8,
-            )
-            sgd_config = ExperimentConfig(
-                epochs=20,
-                optimizer=OptimizerConfig(
-                    method="sgd", lr=1e-2, batch_size=64, seed=11
-                ),
-                out_dir=str(tmp_path / "sgd_grid"),
-                **base,
-            )
-            with np.errstate(over="ignore", invalid="ignore"):
-                sgd_out = grid_search(sgd_config, etas=ETA_GRID, write_artifacts=False)
-            assert sgd_out["best"] is not None
-            sgd_target = sgd_out["best"]["final_train_loss"]
+            # seed 11 of the multi-seed tool's protocol; its defaults are this gate
+            assert seeds.PROTOCOL["natural"]["methods"] == list(SECOND_ORDER_METHODS)
+            assert seeds.PROTOCOL["sgd"]["etas"] == list(ETA_GRID)
+            run = seeds.run_seed(seeds.PROTOCOL, 11, str(tmp_path))
+            sgd_target = run["sgd"]
+            assert math.isfinite(sgd_target)
             notes["sgd_target"] = f"{sgd_target:.4f}"
-
-            report = {"sgd": sgd_out["best"], "methods": {}}
-            best_overall = None
-            for method in SECOND_ORDER_METHODS:
-                cfg = ExperimentConfig(
-                    epochs=10,
-                    optimizer=OptimizerConfig(
-                        method=method,
-                        lr=1e-2,
-                        batch_size=64,
-                        seed=11,
-                        t1=5,
-                        t2=5,
-                    ),
-                    out_dir=str(tmp_path / f"{method}_grid"),
-                    **base,
-                )
-                with np.errstate(over="ignore", invalid="ignore"):
-                    out = grid_search(
-                        cfg,
-                        etas=(3e-1, 1e-1, 3e-2),
-                        lambdas=(1e-2, 1e-3),
-                        clips=(1e-1, 1e-2),
-                        write_artifacts=False,
-                    )
-                best = out["best"]
-                assert best is not None, f"every {method} grid point diverged"
-                curve = best["epoch_train_loss"]
-                reached = next(
-                    (i + 1 for i, v in enumerate(curve) if v <= sgd_target), None
-                )
-                report["methods"][method] = {
-                    "best": best,
-                    "epochs_to_sgd_target": reached,
-                }
-                if best_overall is None or best["final_train_loss"] < best_overall[1]:
-                    best_overall = (method, best["final_train_loss"], curve)
-            (tmp_path / "speed_report.json").write_text(
-                json.dumps(report, indent=2, sort_keys=True)
-            )
-            method, final, curve = best_overall
+            for method, got in run["methods"].items():
+                assert math.isfinite(got["loss"]), f"every {method} grid point diverged"
+            method = min(run["methods"], key=lambda m: run["methods"][m]["loss"])
+            best = run["methods"][method]
             # the gate: the best preconditioned run must reach, in half the
             # epochs, a loss below what the tuned SGD baseline ends at
-            assert curve[4] < curve[0]
-            assert final < sgd_target
+            assert best["curve"][4] < best["curve"][0]
+            assert best["loss"] < sgd_target
             notes["best_method"] = method
-            notes["best_loss"] = f"{final:.4f}"
-            reached_any = [
-                f"{m}:{report['methods'][m]['epochs_to_sgd_target']}"
-                for m in SECOND_ORDER_METHODS
-            ]
-            notes["epochs_to_sgd_target"] = ",".join(reached_any)
+            notes["best_loss"] = f"{best['loss']:.4f}"
+            notes["epochs_to_sgd_target"] = ",".join(
+                f"{m}:{got['epochs']}" for m, got in run["methods"].items()
+            )
 
     def test_11_natural_step_matches_dense_oracle(self):
         with criterion(11, 60.0, {}):

@@ -2,14 +2,9 @@
 lines; no benchmark runs."""
 
 import json
-import sys
-from pathlib import Path
 
+import bench_pairs
 import pytest
-
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.append(str(ROOT / "tools"))
-import bench_pairs  # noqa: E402
 
 SPEC = [
     {"name": "step_s_p50", "unit": "s", "better": "lower", "bound": 0.25},
@@ -81,6 +76,7 @@ def test_missing_and_null_values_drop_the_pair():
         (line(1.0, 1.0, correct=False), False),
         (line(1.0, 1.0, failed=1), False),
         (None, False),
+        ({"provenance": {}}, False),
     ],
 )
 def test_a_run_counts_only_when_correct_and_nothing_failed(result, ok):

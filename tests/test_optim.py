@@ -739,10 +739,12 @@ class TestLayerParallel:
             ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 4, 1),
             ({"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "2"}, 4, 2),
             ({"OPENBLAS_NUM_THREADS": "0"}, 4, 1),
+            ({"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, 1),
+            ({"GOTO_NUM_THREADS": "1"}, 2, 2),
         ],
     )
     def test_lanes_are_cores_over_blas_threads(self, monkeypatch, env, cores, lanes):
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
             monkeypatch.delenv(var, raising=False)
         for var, value in env.items():
             monkeypatch.setenv(var, value)

@@ -4,14 +4,12 @@ results, and one tiny protocol run on this tree."""
 import argparse
 import json
 import math
-import sys
 from pathlib import Path
 
 import pytest
+import seeds
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.append(str(ROOT / "tools"))
-import seeds  # noqa: E402
 
 
 @pytest.mark.parametrize(
@@ -22,7 +20,7 @@ def test_seed_ranges(text, expected):
     assert seeds.parse_seeds(text) == expected
 
 
-@pytest.mark.parametrize("text", ["", "5-3", "a", "1-", "-2"])
+@pytest.mark.parametrize("text", ["", "5-3", "a", "1-", "-2", "1,1", "3-5,4"])
 def test_bad_seed_ranges_are_refused(text):
     with pytest.raises(argparse.ArgumentTypeError, match="bad seed range"):
         seeds.parse_seeds(text)

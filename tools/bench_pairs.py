@@ -43,7 +43,8 @@ def run_once(tree: Path, workload: str) -> dict | None:
 
 
 def run_ok(line: dict | None) -> bool:
-    return line is not None and line["correct"] and line["failed"] == 0
+    """A run that died after its first line, ``{"provenance": ...}``, counts as failed."""
+    return line is not None and line.get("correct", False) and line["failed"] == 0
 
 
 def quartiles(values: list[float]) -> tuple[float, float]:

@@ -9,7 +9,9 @@ epochs at t1 = t2 = 5, and keeps its best final training loss and the
 first epoch whose mean loss reaches the target.  Every run uses the seed
 as its config seed, so data, weights and batch order change with it.
 ``--protocol FILE`` names a JSON object whose sections replace single
-keys of `PROTOCOL`, to run a smaller or a different sweep.
+keys of `PROTOCOL`, to run a smaller or a different sweep.  ACCEPTANCE
+10 in tests/test_acceptance.py is seed 11 of `PROTOCOL` as it stands, so
+editing `PROTOCOL`'s defaults edits that acceptance gate.
 
 Each tree runs in its own subprocess with ``PYTHONPATH=<tree>/src``, and
 a tree whose `kronfisher` is imported from anywhere else is an error.
@@ -53,7 +55,7 @@ PROTOCOL = {
 
 
 def parse_seeds(text: str) -> list[int]:
-    """'11-20', '3' or '1,4,7-9' as a list of seeds."""
+    """'11-20', '3' or '1,4,7-9' as a list of seeds, each at most once."""
     seeds = []
     for part in text.split(","):
         lo, dash, hi = part.partition("-")
@@ -63,7 +65,10 @@ def parse_seeds(text: str) -> list[int]:
             raise argparse.ArgumentTypeError(f"bad seed range {part!r}") from None
         if first < 0 or last < first:
             raise argparse.ArgumentTypeError(f"bad seed range {part!r}")
-        seeds.extend(range(first, last + 1))
+        for seed in range(first, last + 1):
+            if seed in seeds:
+                raise argparse.ArgumentTypeError(f"bad seed range {part!r}: seed {seed} repeats")
+            seeds.append(seed)
     return seeds
 
 
@@ -106,6 +111,7 @@ def run_seed(protocol: dict, seed: int, out_dir: str) -> dict:
         methods[method] = {
             "loss": run["final_train_loss"] if run else math.inf,
             "epochs": next((i + 1 for i, v in enumerate(curve) if v <= target), None),
+            "curve": curve,
         }
     return {"seed": seed, "sgd": target, "methods": methods}
 
