@@ -31,7 +31,7 @@ from .optim import (
     init_train_state,
     train_step,
 )
-from .records import MetricRecord, emit_csv, emit_plot, emit_timings
+from .records import MetricRecord, emit_csv, emit_timings
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -285,8 +285,7 @@ def run_experiment(config: ExperimentConfig, write_artifacts: bool = True) -> Ru
     """Train per the config, recording one metric row per iteration.
 
     Artifacts written to out_dir: config_echo.json, metrics.csv (fully
-    deterministic), timings.csv (wall clock), loss_vs_iteration.svg,
-    loss_vs_time.svg, summary.json.
+    deterministic), timings.csv (wall clock), summary.json.
     """
     out_dir = Path(config.out_dir)
     opt = config.optimizer
@@ -356,20 +355,6 @@ def run_experiment(config: ExperimentConfig, write_artifacts: bool = True) -> Ru
         (out_dir / "config_echo.json").write_text(json.dumps(echo, indent=2, sort_keys=True))
         emit_csv(records, out_dir / "metrics.csv")
         emit_timings(records, out_dir / "timings.csv")
-        emit_plot(
-            records,
-            out_dir / "loss_vs_iteration.svg",
-            x="iteration",
-            series=["train_loss", "val_loss"],
-            title=f"{opt.method}: training loss",
-        )
-        emit_plot(
-            records,
-            out_dir / "loss_vs_time.svg",
-            x="wall_clock_seconds",
-            series=["train_loss"],
-            title=f"{opt.method}: loss vs wall clock",
-        )
         (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
     return RunResult(records, summary, out_dir)
 
@@ -379,15 +364,16 @@ def grid_search(
     etas: tuple[float, ...] = ETA_GRID,
     lambdas: tuple[float, ...] = LAMBDA_GRID,
     clips: tuple[float, ...] = CLIP_GRID,
-    write_artifacts: bool = False,
 ) -> dict:
     """Sweep learning rate (and damping/clip for second-order methods).
 
     Returns a summary dict with one entry per setting and the best one by
-    final training loss.  Every point is checked before the first run, so a
-    refused one raises `ValueError` with nothing trained or written.  A run
-    whose loss goes non-finite, or whose damped factors lose definiteness
-    or turn singular (`np.linalg.LinAlgError`), is recorded as diverged.
+    final training loss, also written to gridsearch_summary.json in the
+    config's out_dir; a grid point writes no artifacts.  Every point is
+    checked before the first run, so a refused one raises `ValueError` with
+    nothing trained or written.  A run whose loss goes non-finite, or whose
+    damped factors lose definiteness or turn singular
+    (`np.linalg.LinAlgError`), is recorded as diverged.
     """
     second_order = config.optimizer.method in SECOND_ORDER_METHODS
     if not second_order:
@@ -399,10 +385,9 @@ def grid_search(
     runs = []
     for opt in optimizers:
         tag = f"eta{opt.lr:g}_lam{opt.damping:g}_clip{opt.clip:g}"
-        sub = replace(config, optimizer=opt, out_dir=str(Path(config.out_dir) / tag))
         entry = {"eta": opt.lr, "damping": opt.damping, "clip": opt.clip}
         try:
-            result = run_experiment(sub, write_artifacts=write_artifacts)
+            result = run_experiment(replace(config, optimizer=opt), write_artifacts=False)
             entry["final_train_loss"] = result.summary["final_train_loss"]
             entry["epoch_train_loss"] = result.summary["epoch_train_loss"]
             entry["status"] = "ok"

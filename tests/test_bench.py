@@ -6,7 +6,6 @@ import math
 import re
 import struct
 import weakref
-import xml.etree.ElementTree as ET
 from dataclasses import replace
 from pathlib import Path
 
@@ -29,7 +28,7 @@ from kronfisher.experiment import (
     run_experiment,
 )
 from kronfisher.optim import SECOND_ORDER_METHODS, OptimizerConfig
-from kronfisher.records import MetricRecord, emit_csv, emit_plot, emit_timings, parse_csv, record_fields
+from kronfisher.records import MetricRecord, emit_csv, emit_timings, parse_csv, record_fields
 
 
 # one step of one epoch: cheap enough for the large presets
@@ -180,6 +179,23 @@ class TestRecords:
         # missing extra on row 1 reads back as nan, not zero
         assert math.isnan(back[0].get("err_frob_kfac"))
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("", "header does not start with iteration,epoch,train_loss,val_loss,nu"),
+            ("epoch,train_loss\n1,0.5\n",
+             "header does not start with iteration,epoch,train_loss,val_loss,nu"),
+            ("iteration,epoch,train_loss,val_loss,nu\n1,1,0.5\n",
+             "line 2 has 3 fields, not 5"),
+        ],
+        ids=["empty", "no-iteration", "short-row"],
+    )
+    def test_a_table_emit_csv_did_not_write_is_refused(self, tmp_path, text, message):
+        path = tmp_path / "metrics.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            parse_csv(path)
+
     def test_csv_floats_survive_exactly(self, tmp_path):
         ugly = 0.1 + 0.2
         path = tmp_path / "m.csv"
@@ -200,27 +216,6 @@ class TestRecords:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "iteration,wall_clock_seconds"
         assert len(lines) == 3
-
-    def test_plot_is_valid_svg_with_one_polyline_per_series(self, tmp_path):
-        path = tmp_path / "plot.svg"
-        records = [
-            MetricRecord(1, 1, 1.0, val_loss=1.1),
-            MetricRecord(2, 1, float("nan"), val_loss=0.9),
-            MetricRecord(3, 1, 0.5, val_loss=0.7),
-        ]
-        emit_plot(records, path, series=["train_loss", "val_loss"], title="a<b&c")
-        root = ET.fromstring(path.read_text())
-        polys = [el for el in root.iter() if el.tag.endswith("polyline")]
-        assert len(polys) == 2
-        # the nan row is dropped from the first series only
-        assert len(polys[0].attrib["points"].split()) == 2
-        assert len(polys[1].attrib["points"].split()) == 3
-
-    def test_plot_with_no_finite_points(self, tmp_path):
-        path = tmp_path / "empty.svg"
-        emit_plot([MetricRecord(1, 1, float("nan"))], path)
-        root = ET.fromstring(path.read_text())
-        assert root is not None
 
 
 class TestExperimentConfig:
@@ -561,15 +556,9 @@ class TestRunExperiment:
         assert math.isnan(result.records[0].val_loss)
         assert math.isfinite(result.records[1].val_loss)
         assert math.isfinite(result.records[3].val_loss)
-        for name in (
-            "config_echo.json",
-            "metrics.csv",
-            "timings.csv",
-            "loss_vs_iteration.svg",
-            "loss_vs_time.svg",
-            "summary.json",
-        ):
-            assert (result.out_dir / name).exists(), name
+        assert {p.name for p in result.out_dir.iterdir()} == {
+            "config_echo.json", "metrics.csv", "timings.csv", "summary.json"
+        }
         summary = json.loads((result.out_dir / "summary.json").read_text())
         assert summary["iterations"] == 4
         assert math.isfinite(summary["final_train_loss"])
@@ -684,7 +673,7 @@ class TestGridSearch:
 
     def test_first_order_collapses_damping_axes(self, tmp_path):
         config = self.small_idx_config(tmp_path)
-        out = grid_search(config, etas=(1e-3, 1e-2), write_artifacts=False)
+        out = grid_search(config, etas=(1e-3, 1e-2))
         assert len(out["runs"]) == 2
         assert out["best"] is not None
         assert out["best"]["final_train_loss"] <= min(
@@ -695,7 +684,7 @@ class TestGridSearch:
     def test_divergent_point_is_recorded_not_fatal(self, tmp_path):
         config = self.small_idx_config(tmp_path)
         with np.errstate(over="ignore", invalid="ignore"):
-            out = grid_search(config, etas=(1e-3, 1e200), write_artifacts=False)
+            out = grid_search(config, etas=(1e-3, 1e200))
         statuses = {r["eta"]: r["status"] for r in out["runs"]}
         assert statuses[1e-3] == "ok"
         assert statuses[1e200].startswith("diverged")
@@ -765,10 +754,7 @@ class TestGridSearch:
             epochs=1,
             optimizer=OptimizerConfig(method="kfac", lr=1e-2, batch_size=32),
         )
-        out = grid_search(
-            config, etas=(1e-2,), lambdas=(1e-2, 1e-3), clips=(1e-2, 1e-3),
-            write_artifacts=False,
-        )
+        out = grid_search(config, etas=(1e-2,), lambdas=(1e-2, 1e-3), clips=(1e-2, 1e-3))
         assert len(out["runs"]) == 4
 
 

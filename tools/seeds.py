@@ -98,7 +98,7 @@ def run_seed(protocol: dict, seed: int, out_dir: str) -> dict:
             **protocol["data"],
         )
         with np.errstate(over="ignore", invalid="ignore"):
-            return grid_search(config, write_artifacts=False, **grid)["best"]
+            return grid_search(config, **grid)["best"]
 
     sgd, natural = protocol["sgd"], protocol["natural"]
     target = best("sgd", sgd["epochs"], {"etas": tuple(sgd["etas"])})
