@@ -14,6 +14,19 @@ works from the per-sample rows and never forms it, and the matrix-free
 products `zf_matvec` / `zf_rmatvec` apply its rearranged form without
 forming it either.
 
+Rows are independent per sample, so `forward` and the delta chain of
+`backward` run a batch as the fixed row blocks of `lanes.run_rows`, each
+block through every layer as one unit on the lanes.  A batch is cut into
+two halves when m * sum(d_i (d_{i-1} + 1)) clears
+2 * `lanes._PARALLEL_FLOOR` (2^27): `curves` at m = 256 is cut, while
+`curves_desk` at m = 64 and smaller nets run whole.  Each block writes
+into full-batch arrays allocated once, each layer's activation straight
+into the next layer's augmented rows.  A half's products round
+differently from the whole batch's, so a cut shape's rows differ from
+whole-batch products at rounding level, the same for every lane count.
+Each layer's gradient g^T abar / m is formed whole, one unit per layer,
+and the batch dimension, which it sums over, is never split.
+
 Layer indices in the public functions are 1-based (layer 1 consumes the
 network input).  The bce loss reads the output as Bernoulli means, so a
 bce network must end in a sigmoid layer; `check_architecture`, which
@@ -26,6 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import lanes
 from .linalg import vec
 
 __all__ = [
@@ -153,21 +167,27 @@ def _derivative_from_activation(kind: str, a: np.ndarray) -> np.ndarray:
     return np.ones_like(a)
 
 
-def _augment(a: np.ndarray) -> np.ndarray:
-    return np.hstack([np.ones((a.shape[0], 1)), a])
-
-
 def forward(model: MLPModel, x: np.ndarray) -> list[np.ndarray]:
     """Run the network on a batch; returns [abar_0, ..., abar_{L-1}, a_L]:
     each layer's augmented input [1, a] (column 0 all ones), then the output."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.layer_dims[0]:
         raise ValueError(f"batch shape {x.shape} does not match input width {model.layer_dims[0]}")
-    acts = []
-    for w, kind in zip(model.weights, model.activations):
-        acts.append(_augment(x))
-        x = _activate(kind, acts[-1] @ w.T)
-    return acts + [x]
+    m = x.shape[0]
+    acts = [np.empty((m, w.shape[1])) for w in model.weights] + [
+        np.empty((m, model.layer_dims[-1]))]
+    for abar in acts[:-1]:
+        abar[:, 0] = 1.0
+    acts[0][:, 1:] = x
+    # each layer's activation lands in the next layer's augmented rows
+    dest = [abar[:, 1:] for abar in acts[1:-1]] + [acts[-1]]
+
+    def rows(r):
+        for i, (w, kind) in enumerate(zip(model.weights, model.activations)):
+            dest[i][r] = _activate(kind, acts[i][r] @ w.T)
+
+    lanes.run_rows(m, sum(w.size for w in model.weights), rows)
+    return acts
 
 
 def batch_loss(output: np.ndarray, targets: np.ndarray, loss: str) -> float:
@@ -227,15 +247,19 @@ def backward(
     if not np.all(np.isfinite(g)):
         raise FloatingPointError("non-finite loss derivative at the output layer")
 
-    weight_grads: list[np.ndarray] | None = [None] * model.n_layers if grads else None
-    gs: list[np.ndarray] = [None] * model.n_layers
-    for i in range(model.n_layers - 1, -1, -1):
-        if grads:
-            weight_grads[i] = g.T @ activations[i] / m
-        gs[i] = g
-        if i > 0:
-            da = g @ model.weights[i][:, 1:]
-            g = da * _derivative_from_activation(model.activations[i - 1], activations[i][:, 1:])
+    gs = [np.empty((m, w.shape[0])) for w in model.weights[:-1]] + [g]
+
+    def rows(r):
+        for i in range(model.n_layers - 1, 0, -1):
+            da = gs[i][r] @ model.weights[i][:, 1:]
+            gs[i - 1][r] = da * _derivative_from_activation(
+                model.activations[i - 1], activations[i][r, 1:])
+
+    lanes.run_rows(m, sum(w.size for w in model.weights), rows)
+    weight_grads = None
+    if grads:
+        weight_grads = lanes.run([m * w.size for w in model.weights],
+                                 lambda i: gs[i].T @ activations[i] / m)
     return weight_grads, LayerBatchStats(activations[:-1], gs)
 
 

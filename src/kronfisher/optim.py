@@ -20,22 +20,18 @@ The natural step at iteration k (1-based):
    (`precond.precondition_layer`), scale by the trust-region factor,
    and descend.
 
-The per-layer work of steps 3 and 4 runs on W lanes.  W is the usable
-cores over the BLAS threads per call (OPENBLAS_NUM_THREADS, then
-GOTO_NUM_THREADS, then OMP_NUM_THREADS), capped at the layer count; it
-is 1 when none is set, since BLAS then takes every core.  A step costs
-each layer's unit m (d^2 + dp^2) + d^3 + dp^3 multiply-adds, whatever
-the method, and both sections use that one list.  A section whose
-layers average at least `_PARALLEL_FLOOR` per lane runs on W lanes, any
-other on one: the calling thread and W - 1 pool threads each take the
-costliest layer left from one shared queue until it is empty, so the
-lanes balance by when their layers finish, not by the estimate, and one
-lane takes the layers in the same order.  Each layer's unit runs whole
-on one thread and makes the same BLAS calls in the same order on any
-lane, so weights and every `StepMetrics` field are bit-identical for
-every W at a fixed BLAS setting.  Every layer runs, also after a
-failure, and the lowest-numbered failure is raised, so a failed step
-leaves the same layer states for every W.
+The per-layer work of steps 3 and 4 runs on the W lanes of `lanes.run`,
+one unit per layer.  A step costs each layer's unit m (d^2 + dp^2) +
+d^3 + dp^3 multiply-adds, whatever the method, and both sections use
+that one list.  Forward and backward run on the same lanes (see `mlp`):
+a large batch's row halves, then backward's per-layer gradients, so
+every step with a backward, first-order and probe alike, uses them.
+Each unit runs whole on one thread and makes the same BLAS calls in the
+same order on any lane, and the row cut depends on shape alone, so
+weights and every `StepMetrics` field are bit-identical for every W at
+a fixed BLAS setting.  Every layer runs, also after a failure, and the
+lowest-numbered failure is raised, so a failed step leaves the same
+layer states for every W.
 
 Both backward passes of a refresh step read `forward`'s abar rows and
 differ only in their g rows.  The true-target one comes last, so its g
@@ -53,14 +49,12 @@ run is a pure function of (config, seeds).
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from . import factorizations as fz
+from . import lanes
 from .linalg import kron, spectrum
 from .mlp import MLPModel, backward, batch_loss, exact_fim_block, forward, sample_targets
 from .precond import (
@@ -96,21 +90,6 @@ SGD_MOMENTUM = 0.9
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-
-# a layer-parallel section runs serially when its layers' unit costs
-# average fewer multiply-adds per lane than this.  The refresh sets it:
-# below it two lanes lose, as two 42M units ([256, 256, 256] at m = 64)
-# took 15.5 ms serially and 17.9 ms on two lanes, their many small
-# blocked-inverse calls queueing on the interpreter lock, while two 133M
-# units went from 36 to 25 ms.  Applies gain from about 7M multiply-adds
-# of their own per lane (1.13 to 0.92 ms), so an apply whose units average
-# less than the floor stays serial at some cost.  An empty two-lane
-# section costs 65-100 us (one BLAS thread, 2-vCPU Xeon VM)
-_PARALLEL_FLOOR = 2 ** 26
-
-# created at the first section that runs on more than one lane
-_pool: ThreadPoolExecutor | None = None
-
 
 @dataclass
 class OptimizerConfig:
@@ -239,59 +218,6 @@ def _forward_loss(model: MLPModel, batch, state: TrainState):
     return acts, loss
 
 
-def _lanes() -> int:
-    """How many layers can run at once: usable cores over BLAS threads per call.
-
-    BLAS reads OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS, then OMP_NUM_THREADS
-    as numpy loads, and takes every core when none is set: one lane.
-    """
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(var, "")
-        if value.isdigit() and int(value) > 0:
-            cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-            return max(1, cores // int(value))
-    return 1
-
-
-def _per_layer(costs: list[int], unit: Callable[[int], object]) -> list:
-    """Run `unit` on every layer index; its results, in layer order.
-
-    The calling thread, and the pool when `costs` average at least
-    `_PARALLEL_FLOOR` per lane on more than one lane, pop the costliest
-    layer left from one queue until it is empty.  Every layer runs and
-    the lowest-numbered failure is raised.
-    """
-    lanes = min(_lanes(), len(costs))
-    if sum(costs) < lanes * _PARALLEL_FLOOR:
-        lanes = 1
-    queue = sorted(range(len(costs)), key=costs.__getitem__)
-    global _pool
-    if _pool is None and lanes > 1:
-        _pool = ThreadPoolExecutor(_lanes() - 1, thread_name_prefix="kronfisher-layer")
-    results = [None] * len(costs)
-    errors = {}
-
-    def run():
-        # list.pop is atomic, so each layer is taken once and writes only its own slot
-        while True:
-            try:
-                i = queue.pop()
-            except IndexError:
-                return
-            try:
-                results[i] = unit(i)
-            except Exception as exc:  # re-raised below, lowest layer first
-                errors[i] = exc
-
-    futures = [_pool.submit(run) for _ in range(lanes - 1)]
-    run()
-    for future in futures:
-        future.result()
-    if errors:
-        raise errors[min(errors)]
-    return results
-
-
 def natural_step(
     model: MLPModel,
     batch: tuple[np.ndarray, np.ndarray],
@@ -321,12 +247,12 @@ def natural_step(
                 rebuild_cache(state.layer_states[i], config.damping)
             return report
 
-        reports = _per_layer(costs, unit)
+        reports = lanes.run(costs, unit)
         del stats
         sigma1, sigma2, degenerate = (list(column) for column in zip(*reports))
 
     grads, rows = backward(model, acts, batch[1])
-    precond = _per_layer(
+    precond = lanes.run(
         costs,
         lambda i: precondition_layer(state.layer_states[i], grads[i], (rows.abar[i], rows.g[i])),
     )

@@ -48,7 +48,7 @@ def traced_steps(method):
     """Spans of STEPS natural steps, refreshing and rebuilding every step.
 
     The [4, 3, 2] net keeps both layer-parallel sections of `natural_step`
-    below `optim._PARALLEL_FLOOR`, so its layers run on the calling thread.
+    below `lanes._PARALLEL_FLOOR`, so its layers run on the calling thread.
     The tracer keeps one span stack, so spans from two lanes would mis-nest:
     a traced (``--trace 1``) `curves` run with BLAS pinned to one thread
     splits its layers over lanes and its per-layer spans cannot be trusted.

@@ -10,10 +10,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import make_model_stats, zigzag_oracle
+from kronfisher import lanes
+from kronfisher.experiment import ARCHITECTURES
 from kronfisher.linalg import vec
 from kronfisher.mlp import (
     LayerBatchStats,
     _activate,
+    _derivative_from_activation,
+    _output_delta,
     backward,
     batch_loss,
     exact_fim_block,
@@ -196,6 +200,65 @@ class TestBackward:
         acts = forward(model, rng.random((5, 3)))
         with pytest.raises(ValueError):
             backward(model, acts, np.zeros((5, 3)))
+
+
+def serial_rows(model, x, y):
+    """The serial formulation `forward` and `backward` replaced: hstack each
+    layer's input, then the delta chain, then g^T abar / m."""
+    m = x.shape[0]
+    acts = []
+    for w, kind in zip(model.weights, model.activations):
+        acts.append(np.hstack([np.ones((m, 1)), x]))
+        x = _activate(kind, acts[-1] @ w.T)
+    acts.append(x)
+    g = _output_delta(model, x, y)
+    grads, gs = [None] * model.n_layers, [None] * model.n_layers
+    for i in range(model.n_layers - 1, -1, -1):
+        grads[i] = g.T @ acts[i] / m
+        gs[i] = g
+        if i > 0:
+            da = g @ model.weights[i][:, 1:]
+            g = da * _derivative_from_activation(model.activations[i - 1], acts[i][:, 1:])
+    return acts, grads, gs
+
+
+def preset_rows(name, m, monkeypatch):
+    """A preset net with nonzero biases on two lanes, and the rows of one batch."""
+    monkeypatch.setattr(lanes, "_lanes", lambda: 2)
+    rng = np.random.default_rng(31)
+    arch = ARCHITECTURES[name]
+    model = init_mlp(arch["layer_dims"], arch["activations"], "bce", rng)
+    for w in model.weights:
+        w[:, 0] = 0.1 * rng.standard_normal(w.shape[0])
+    x = rng.random((m, arch["layer_dims"][0]))
+    acts = forward(model, x)
+    before = [a.copy() for a in acts]
+    grads, stats = backward(model, acts, x)
+    none, sampled = backward(model, acts, sample_targets(acts[-1], "bce", rng), grads=False)
+    assert none is None
+    # both statistics hold forward's rows, and neither backward wrote them
+    for st in (stats, sampled):
+        assert all(a is b for a, b in zip(st.abar, acts[:-1], strict=True))
+    assert all(np.array_equal(a, b) for a, b in zip(acts, before))
+    return model, x, acts, grads, stats
+
+
+class TestRowHalves:
+    def test_an_uncut_batch_matches_the_serial_formulation_bit_for_bit(self, monkeypatch):
+        model, x, acts, grads, stats = preset_rows("curves_desk", 64, monkeypatch)
+        want_acts, want_grads, want_g = serial_rows(model, x, x)
+        for got, want in zip(acts + grads + stats.g, want_acts + want_grads + want_g, strict=True):
+            assert np.array_equal(got, want)
+
+    def test_a_cut_batch_matches_to_rounding_and_forms_whole_gradients(self, monkeypatch):
+        """Each half's rows agree with the serial ones to 1e-13 relative, and
+        each gradient is g^T abar / m of the returned rows, bit for bit."""
+        model, x, acts, grads, stats = preset_rows("curves", 256, monkeypatch)
+        want_acts, _, want_g = serial_rows(model, x, x)
+        for got, want in zip(acts + stats.g, want_acts + want_g, strict=True):
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+        for got, a, g in zip(grads, stats.abar, stats.g, strict=True):
+            assert np.array_equal(got, g.T @ a / 256)
 
 
 class TestSampling:

@@ -5,6 +5,7 @@ the schedule flags are traced over a short run with small periods.
 """
 
 import copy
+import dataclasses
 import subprocess
 import sys
 import threading
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import make_model_stats
+from kronfisher import lanes as runner
 from kronfisher import mlp, optim
 from kronfisher.experiment import ARCHITECTURES
 from kronfisher.factorizations import DEFAULT_EPS, FACTORIZERS, KronPair
@@ -25,6 +27,7 @@ from kronfisher.mlp import backward, exact_fim_block, forward, init_mlp, sample_
 from kronfisher.optim import (
     SECOND_ORDER_METHODS,
     OptimizerConfig,
+    StepMetrics,
     adam_step,
     fim_error_probe,
     first_order_step,
@@ -386,16 +389,11 @@ class TestSampledBackward:
 
     def test_each_step_augments_every_layer_input_once(self, monkeypatch):
         """Plain and refresh steps alike build each layer's abar rows once,
-        in `forward`, and both statistics of a refresh hold those arrays."""
+        in one `forward`, and both statistics of a refresh hold those arrays."""
         rng = np.random.default_rng(15)
         model = tiny_model(rng, dims=(4, 3, 3, 2))
         batches = [tiny_batch(rng, model) for _ in range(3)]
-        augmented, forwarded, seen = [], [], []
-        augment = mlp._augment
-
-        def counting(a):
-            augmented.append(a)
-            return augment(a)
+        forwarded, seen = [], []
 
         def forwarding(model, x):
             forwarded.append(forward(model, x))
@@ -406,19 +404,18 @@ class TestSampledBackward:
             seen.append(out[1])
             return out
 
-        monkeypatch.setattr(mlp, "_augment", counting)
         monkeypatch.setattr(optim, "forward", forwarding)
         monkeypatch.setattr(optim, "backward", recording)
         config = OptimizerConfig(method="kfac", t1=3, t2=3)
         state = init_train_state(model, config)
         for refreshed, batch in zip((True, False, True), batches):
-            augmented.clear()
+            forwarded.clear()
             seen.clear()
             assert natural_step(model, batch, state, config).refreshed is refreshed
-            assert len(augmented) == model.n_layers
+            assert len(forwarded) == 1
             assert len(seen) == (2 if refreshed else 1)
             for stats in seen:
-                assert all(a is b for a, b in zip(stats.abar, forwarded[-1][:-1]))
+                assert all(a is b for a, b in zip(stats.abar, forwarded[-1][:-1], strict=True))
 
 
 class TestSharedRows:
@@ -560,11 +557,14 @@ class TestErrorProbe:
                 fim_error_probe(model, x, layer=layer, rng=np.random.default_rng(0))
 
 
-# two layers whose units and applies both clear optim._PARALLEL_FLOOR at m = 256
+# two layers whose units and applies both clear lanes._PARALLEL_FLOOR at m = 256,
+# while the batch stays below the row cut
 WIDE_DIMS = (400, 300, 400)
 WIDE_BATCH = 256
-# the curves_desk net, whose every section stays below optim._PARALLEL_FLOOR
+# the curves_desk net, whose every section stays below lanes._PARALLEL_FLOOR
 DESK_DIMS = (64, 32, 16, 6, 16, 32, 64)
+# the curves net, whose batch of 256 rows `forward` and `backward` cut in halves
+CURVES_DIMS = tuple(ARCHITECTURES["curves"]["layer_dims"])
 
 
 def record_threads(monkeypatch):
@@ -581,15 +581,40 @@ def record_threads(monkeypatch):
 class TestLayerParallel:
     """The layer-parallel sections of `natural_step` and the rules that pick their lanes."""
 
-    def run_steps(self, monkeypatch, lanes, method, t1, t2, steps=6):
-        monkeypatch.setattr(optim, "_lanes", lambda: lanes)
+    def run_steps(self, monkeypatch, lanes, method, t1, t2, steps=6, dims=WIDE_DIMS):
+        monkeypatch.setattr(runner, "_lanes", lambda: lanes)
         rng = np.random.default_rng(21)
-        model = tiny_model(rng, dims=WIDE_DIMS)
+        model = tiny_model(rng, dims=dims)
         batch = tiny_batch(rng, model, m=WIDE_BATCH)
         config = OptimizerConfig(method=method, lr=0.1, damping=1e-2, clip=0.1, t1=t1, t2=t2)
         state = init_train_state(model, config)
-        metrics = [natural_step(model, batch, state, config) for _ in range(steps)]
+        metrics = [train_step(model, batch, state, config) for _ in range(steps)]
         return model, state, metrics
+
+    def assert_lockstep(self, serial, parallel):
+        """Weights, every `StepMetrics` field and the optimizer state agree bit for bit."""
+        (model_a, state_a, metrics_a), (model_b, state_b, metrics_b) = serial, parallel
+        for a, b in zip(model_a.weights, model_b.weights, strict=True):
+            assert np.array_equal(a, b)
+        for a, b in zip(metrics_a, metrics_b, strict=True):
+            for field in dataclasses.fields(StepMetrics):
+                va, vb = getattr(a, field.name), getattr(b, field.name)
+                if isinstance(va, list):
+                    assert len(va) == len(vb)
+                    assert all(np.array_equal(x, y, equal_nan=True) for x, y in zip(va, vb))
+                else:
+                    assert va == vb or np.isnan(va) and np.isnan(vb), field.name
+        for name in ("velocity", "m1", "m2"):
+            for a, b in zip(getattr(state_a, name) or [], getattr(state_b, name) or [],
+                            strict=True):
+                assert np.array_equal(a, b)
+        for ls_a, ls_b in zip(state_a.layer_states or [], state_b.layer_states or [],
+                              strict=True):
+            for pa, pb in zip(ls_a.pairs, ls_b.pairs, strict=True):
+                assert np.array_equal(pa.left, pb.left) and np.array_equal(pa.right, pb.right)
+            assert (ls_a.cache.denom is None) == (ls_b.cache.denom is None)
+            for name, value in vars(ls_a.cache).items():
+                assert np.array_equal(value, getattr(ls_b.cache, name))
 
     @pytest.mark.parametrize("t1, t2", [(1, 1), (2, 3)])
     @pytest.mark.parametrize("method", ["kfac", "deflation", "kfac_corrected"])
@@ -598,21 +623,94 @@ class TestLayerParallel:
         seen = record_threads(monkeypatch)
         parallel = self.run_steps(monkeypatch, 2, method, t1, t2)
         assert len(set(seen)) == 2
-        (model_a, state_a, metrics_a), (model_b, state_b, metrics_b) = serial, parallel
-        for a, b in zip(model_a.weights, model_b.weights):
-            assert np.array_equal(a, b)
-        for a, b in zip(metrics_a, metrics_b):
-            assert (a.loss, a.nu, a.refreshed, a.rebuilt) == (b.loss, b.nu, b.refreshed, b.rebuilt)
-            assert a.degenerate == b.degenerate
-            for field in ("sigma1", "sigma2"):
-                assert np.array_equal(getattr(a, field) or [], getattr(b, field) or [],
-                                      equal_nan=True)
-        for ls_a, ls_b in zip(state_a.layer_states, state_b.layer_states):
-            for pa, pb in zip(ls_a.pairs, ls_b.pairs, strict=True):
-                assert np.array_equal(pa.left, pb.left) and np.array_equal(pa.right, pb.right)
-            assert (ls_a.cache.denom is None) == (ls_b.cache.denom is None)
-            for name, value in vars(ls_a.cache).items():
-                assert np.array_equal(value, getattr(ls_b.cache, name))
+        self.assert_lockstep(serial, parallel)
+
+    @pytest.mark.parametrize("method, t1, t2", [("kfac", 2, 2), ("sgd", 1, 1), ("adam", 1, 1)])
+    def test_a_cut_batch_steps_in_lockstep_on_one_and_two_lanes(self, monkeypatch, method, t1, t2):
+        """The curves net at m = 256: forward's and backward's row halves run
+        on both lanes, and the step matches the one-lane step bit for bit."""
+        serial = self.run_steps(monkeypatch, 1, method, t1, t2, steps=4, dims=CURVES_DIMS)
+        seen = []
+
+        def spy(kind, s, _fn=mlp._activate):
+            seen.append(threading.current_thread().name)
+            return _fn(kind, s)
+
+        monkeypatch.setattr(mlp, "_activate", spy)
+        parallel = self.run_steps(monkeypatch, 2, method, t1, t2, steps=4, dims=CURVES_DIMS)
+        assert len(set(seen)) == 2
+        self.assert_lockstep(serial, parallel)
+
+    @pytest.mark.parametrize("dims, m, block", [(CURVES_DIMS, 256, 128), (DESK_DIMS, 64, 64)])
+    def test_the_row_cut_is_the_same_on_any_lane_count(self, monkeypatch, dims, m, block):
+        """One, two or three lanes cut a curves batch of 256 rows into the
+        same two halves, and leave a desk batch of 64 whole; `forward`
+        returns the same bits on each."""
+        rng = np.random.default_rng(25)
+        model = tiny_model(rng, dims=dims)
+        x = rng.random((m, dims[0]))
+        rows, outs = [], []
+
+        def spy(kind, s, _fn=mlp._activate):
+            rows[-1].append(s.shape[0])
+            return _fn(kind, s)
+
+        monkeypatch.setattr(mlp, "_activate", spy)
+        for lanes in (1, 2, 3):
+            monkeypatch.setattr(runner, "_lanes", lambda: lanes)
+            rows.append([])
+            outs.append(forward(model, x))
+        assert rows == [[block] * (m // block * model.n_layers)] * 3
+        for out in outs[1:]:
+            assert all(np.array_equal(a, b) for a, b in zip(out, outs[0], strict=True))
+
+    def test_every_lane_keeps_the_callers_errstate(self, monkeypatch):
+        """A pool lane sees the `np.errstate` of the thread that started the section."""
+        monkeypatch.setattr(runner, "_lanes", lambda: 2)
+        both = threading.Barrier(2, timeout=30)  # one unit per lane
+
+        def unit(i):
+            both.wait()
+            return np.geterr()["over"], threading.current_thread().name
+
+        with np.errstate(over="raise"):
+            got = runner.run([runner._PARALLEL_FLOOR] * 2, unit)
+        assert [over for over, _ in got] == ["raise", "raise"]
+        assert len({name for _, name in got}) == 2
+
+    def test_a_section_inside_a_unit_runs_on_its_thread(self, monkeypatch):
+        """A unit on the one pool thread calls `forward` on a cut batch: the
+        halves run on that thread instead of waiting on the pool it holds."""
+        monkeypatch.setattr(runner, "_lanes", lambda: 2)
+        monkeypatch.setattr(runner, "_pool", None)
+        rng = np.random.default_rng(26)
+        model = tiny_model(rng, dims=CURVES_DIMS)
+        x = rng.random((256, CURVES_DIMS[0]))
+        want = forward(model, x)[-1]
+        both = threading.Barrier(2, timeout=60)  # one unit per lane, so one on the pool
+        names, got = {}, []
+
+        def unit(i):
+            both.wait()
+            names[i] = threading.current_thread().name
+            return forward(model, x)[-1]
+
+        outer = threading.Thread(
+            target=lambda: got.extend(runner.run([runner._PARALLEL_FLOOR] * 2, unit)),
+            daemon=True,
+        )
+        outer.start()
+        outer.join(timeout=30)
+        deadlocked = outer.is_alive()
+        if deadlocked:
+            # a worker more runs the section the pool thread waits on, so the suite can exit
+            runner._pool._max_workers += 1
+            runner._pool.submit(int)
+            outer.join(timeout=30)
+        runner._pool.shutdown(wait=True)
+        assert not deadlocked
+        assert len(set(names.values())) == 2
+        assert len(got) == 2 and all(np.array_equal(out, want) for out in got)
 
     def poisoned_step(self, monkeypatch, lanes):
         """Two steps, then NaN left factors on both layers and a third step
@@ -668,9 +766,9 @@ class TestLayerParallel:
         microsecond: every layer runs exactly once, also after a failure,
         each result lands in its own layer's slot, and the lowest-numbered
         failure is the one raised."""
-        monkeypatch.setattr(optim, "_lanes", lambda: lanes)
-        monkeypatch.setattr(optim, "_pool", None)
-        costs = [optim._PARALLEL_FLOOR] * 16
+        monkeypatch.setattr(runner, "_lanes", lambda: lanes)
+        monkeypatch.setattr(runner, "_pool", None)
+        costs = [runner._PARALLEL_FLOOR] * 16
         failing = (9, 5)
         ran = []
 
@@ -687,20 +785,20 @@ class TestLayerParallel:
             for _ in range(5):
                 ran.clear()
                 with pytest.raises(ValueError, match="^5$"):
-                    optim._per_layer(costs, unit)
+                    runner.run(costs, unit)
                 assert sorted(ran) == list(range(16))
                 ran.clear()
-                got = optim._per_layer(costs, lambda i: unit(i % 5))
+                got = runner.run(costs, lambda i: unit(i % 5))
                 assert got == [unit(i % 5) for i in range(16)]
         finally:
             sys.setswitchinterval(interval)
-            if optim._pool is not None:
-                optim._pool.shutdown(wait=True, cancel_futures=True)
+            if runner._pool is not None:
+                runner._pool.shutdown(wait=True, cancel_futures=True)
 
     def test_one_lane_runs_whole_units(self, monkeypatch):
         """One lane factors and rebuilds each layer before the next, taking
         the costliest layer left first, as the lanes do."""
-        monkeypatch.setattr(optim, "_lanes", lambda: 1)
+        monkeypatch.setattr(runner, "_lanes", lambda: 1)
         rng = np.random.default_rng(23)
         model = tiny_model(rng, dims=DESK_DIMS)
         batch = tiny_batch(rng, model, m=64)
@@ -748,8 +846,8 @@ class TestLayerParallel:
             monkeypatch.delenv(var, raising=False)
         for var, value in env.items():
             monkeypatch.setenv(var, value)
-        monkeypatch.setattr(optim.os, "sched_getaffinity", lambda pid: set(range(cores)))
-        assert optim._lanes() == lanes
+        monkeypatch.setattr(runner.os, "sched_getaffinity", lambda pid: set(range(cores)))
+        assert runner._lanes() == lanes
 
     def test_import_starts_no_thread(self):
         src = str(Path(optim.__file__).resolve().parent.parent)
@@ -764,7 +862,7 @@ class TestLayerParallel:
         """Below the floor two lanes run serially: no thread is started or used."""
         seen = record_threads(monkeypatch)
         before = threading.active_count()
-        monkeypatch.setattr(optim, "_lanes", lambda: 2)
+        monkeypatch.setattr(runner, "_lanes", lambda: 2)
         rng = np.random.default_rng(22)
         model = tiny_model(rng, dims=DESK_DIMS)
         batch = tiny_batch(rng, model, m=64)
@@ -778,7 +876,7 @@ class TestLayerParallel:
     def test_a_curves_step_runs_both_sections_on_two_lanes(self, monkeypatch):
         """The `curves` net at m = 256 clears the floor in both sections."""
         seen = record_threads(monkeypatch)
-        monkeypatch.setattr(optim, "_lanes", lambda: 2)
+        monkeypatch.setattr(runner, "_lanes", lambda: 2)
         rng = np.random.default_rng(24)
         dims = ARCHITECTURES["curves"]["layer_dims"]
         model = tiny_model(rng, dims=dims)
